@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .arcs import (
     Arc,
@@ -59,8 +60,12 @@ class ArcFamily:
     def __iter__(self):
         return iter(self.arcs)
 
+    @cached_property
+    def _members(self) -> frozenset[Arc]:
+        return frozenset(self.arcs)
+
     def __contains__(self, a: object) -> bool:
-        return a in set(self.arcs)
+        return a in self._members
 
     def to_json_dict(self) -> dict:
         return {"n": self.params.n, "arcs": [a.to_json() for a in self.arcs]}

@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .angulation import (
     ArcFamily,
-    CANONICAL_TAG,
     canonical_family,
     complete_in_window,
     is_maximal_in_window,
@@ -359,25 +358,12 @@ def _cmd_family_canonical(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _is_symbolic_canonical(args: argparse.Namespace) -> int | None:
-    """Truncation size when the requested family is the canonical one."""
-    if getattr(args, "canonical", None) is not None:
-        return args.canonical
-    if args.json is not None:
-        try:
-            payload = json.loads(args.json)
-        except json.JSONDecodeError:
-            return None
-        if isinstance(payload, dict) and payload.get("family") == CANONICAL_TAG:
-            m = payload.get("m")
-            return m if isinstance(m, int) else None
-    return None
-
-
 def _cmd_k0_present(args: argparse.Namespace) -> int:
-    truncation = _is_symbolic_canonical(args)
     family = _family_from_args(args)
     pres = k0_presentation(family.params, family)
+    # the family itself decides, so every input channel gets the same label
+    m = len(family)
+    truncation = m if m and family == canonical_family(family.params, m) else None
     report = pres.to_json_dict(truncation=truncation)
     report["label"] = (
         "canonical truncation" if truncation is not None else "upper-bound presentation"

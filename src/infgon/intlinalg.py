@@ -2,9 +2,16 @@
 
 Everything here runs on plain Python integers, so there is no overflow to
 report and no precision to lose.  The Smith reduction keeps full row and
-column transforms (U * A * V = D with |det U| = |det V| = 1) because the
-group presentations downstream need the column transform to express
-generator classes in the reduced basis.
+column transforms (U * A * V = D) because the group presentations downstream
+need the column transform to express generator classes in the reduced basis.
+
+Every elementary operation is mirrored into U or V and, inverted, into U^-1
+or V^-1, so the reduction also returns both inverses.  The self-check run on
+every result proves the decomposition from those four integer matrices with
+three exact products over the nonzero entries: U * U^-1 = I and
+V * V^-1 = I show that U and V are unimodular (an integer matrix with an
+integer inverse has determinant +-1), and U * A = D * V^-1 then gives
+U * A * V = D * V^-1 * V = D.  No determinant is needed.
 
 Pivoting rule: at each step the entry of smallest nonzero absolute value in
 the remaining block is chosen, ties broken by lowest (row, col).  Together
@@ -14,6 +21,7 @@ input, which the rendering and CLI layers rely on.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 
@@ -119,12 +127,18 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Smith decomposition U * A * V = D of the input matrix A."""
+    """Smith decomposition U * A * V = D of the input matrix A.
+
+    `u_inv` and `v_inv` are the inverses of U and V; they are the
+    certificate that `verify` checks.
+    """
 
     matrix: IntMatrix
     u: IntMatrix
     d: IntMatrix
     v: IntMatrix
+    u_inv: IntMatrix
+    v_inv: IntMatrix
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(
@@ -158,55 +172,99 @@ class SnfResult:
                     raise AssertionError("zero diagonal entry before a nonzero one")
                 if x != 0 and nxt % x != 0:
                     raise AssertionError(f"divisibility broken: {x} does not divide {nxt}")
-        if abs(self.u.determinant()) != 1:
-            raise AssertionError("U is not unimodular")
-        if abs(self.v.determinant()) != 1:
-            raise AssertionError("V is not unimodular")
-        if self.u.mul(self.matrix).mul(self.v).entries != d.entries:
-            raise AssertionError("U * A * V != D")
+        rows, cols = d.rows, d.cols
+        for name, t, k in (
+            ("U", self.u, rows), ("U^-1", self.u_inv, rows),
+            ("V", self.v, cols), ("V^-1", self.v_inv, cols),
+        ):
+            if (t.rows, t.cols) != (k, k):
+                raise AssertionError(f"{name} has wrong shape")
+        if not _product_is(self.u, self.u_inv, _identity_rows(rows)):
+            raise AssertionError("U * U^-1 != I: U is not unimodular")
+        if not _product_is(self.v, self.v_inv, _identity_rows(cols)):
+            raise AssertionError("V * V^-1 != I: V is not unimodular")
+        # D * V^-1: row i is d[i] times row i of V^-1, zero past the diagonal
+        inv = self.v_inv.entries
+        dv = (
+            [diag[i] * y for y in inv[i]] if i < len(diag) else [0] * cols
+            for i in range(rows)
+        )
+        if not _product_is(self.u, self.matrix, dv):
+            raise AssertionError("U * A != D * V^-1, so U * A * V != D")
+
+
+def _identity_rows(k: int) -> Iterator[list[int]]:
+    return ([1 if i == j else 0 for j in range(k)] for i in range(k))
+
+
+def _product_is(a: IntMatrix, b: IntMatrix, want: Iterable[list[int]]) -> bool:
+    """Whether a * b equals `want`, visiting only pairs of nonzero entries.
+
+    `want` yields one list per row of a; shapes are the caller's to check.
+    Transforms of banded matrices are mostly zero, so this costs far less
+    than a dense product, and only one row of the product is held at a time.
+    """
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.entries]
+    for row, expected in zip(a.entries, want):
+        acc = [0] * b.cols
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_rows[k]:
+                    acc[j] += x * y
+        if acc != expected:
+            return False
+    return True
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Smith normal form with transforms, entirely over exact integers.
 
     Elementary row operations are mirrored into U, column operations into V,
-    so U * A * V = D holds at every step by construction.  Each pivot ends
-    up positive and divides all entries of the remaining block, which gives
-    the divisibility chain directly.
+    so U * A * V = D holds at every step by construction.  The inverse of
+    each operation is mirrored into U^-1 and V^-1 from the other side.  U^-1
+    is kept transposed, so that every update of an inverse is a row
+    operation.  Each pivot ends up positive and divides all entries of the
+    remaining block, which gives the divisibility chain directly.
     """
     nrows, ncols = a.rows, a.cols
     d = [list(row) for row in a.entries]
     u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
     v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
+    u_inv_t = [list(row) for row in u]
+    v_inv = [list(row) for row in v]
 
     def swap_rows(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
+        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
 
     def swap_cols(i: int, j: int) -> None:
         for row in d:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src: int, dst: int, c: int) -> None:
-        # row[dst] += c * row[src]
-        drow, srow = d[dst], d[src]
-        for j in range(ncols):
-            drow[j] += c * srow[j]
-        drow, srow = u[dst], u[src]
-        for j in range(nrows):
-            drow[j] += c * srow[j]
+        # row[dst] += c * row[src]; the inverse subtracts column dst from src
+        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+        u_inv_t[src] = [x - c * y for x, y in zip(u_inv_t[src], u_inv_t[dst])]
 
     def add_col(src: int, dst: int, c: int) -> None:
+        # col[dst] += c * col[src]; the inverse subtracts row dst from src
         for row in d:
-            row[dst] += c * row[src]
+            if row[src]:
+                row[dst] += c * row[src]
         for row in v:
-            row[dst] += c * row[src]
+            if row[src]:
+                row[dst] += c * row[src]
+        v_inv[src] = [x - c * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     def negate_row(i: int) -> None:
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
+        u_inv_t[i] = [-x for x in u_inv_t[i]]
 
     limit = min(nrows, ncols)
     for k in range(limit):
@@ -265,6 +323,8 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                 continue
             # force the pivot to divide the rest of the block
             pivot = d[k][k]
+            if pivot == 1:
+                break  # 1 divides everything
             carrier = None
             for i in range(k + 1, nrows):
                 drow = d[i]
@@ -278,11 +338,19 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                 break
             add_row(carrier, k, 1)  # d[carrier][k] == 0, pivot unchanged
 
+    def freeze(rows: list, width: int) -> IntMatrix:
+        # drop each working copy once it is copied, so at most one is doubled
+        m = IntMatrix.from_rows(rows, cols=width)
+        rows.clear()
+        return m
+
     result = SnfResult(
         matrix=a,
-        u=IntMatrix.from_rows(u, cols=nrows),
-        d=IntMatrix.from_rows(d, cols=ncols),
-        v=IntMatrix.from_rows(v, cols=ncols),
+        u=freeze(u, nrows),
+        d=freeze(d, ncols),
+        v=freeze(v, ncols),
+        u_inv=freeze(list(zip(*u_inv_t)), nrows),
+        v_inv=freeze(v_inv, ncols),
     )
     result.verify()
     return result
@@ -294,7 +362,9 @@ class Cokernel:
 
     Coordinates produced by `project` list the torsion components first (one
     per invariant factor, reduced to [0, d)) and then the free components.
-    Rows of the defining matrix project to zero exactly.
+    Rows of the defining matrix project to zero exactly.  The image of
+    generator j is row j of V read in those coordinates, which
+    `generator_classes` returns for every j at once.
     """
 
     generators: int
@@ -321,6 +391,15 @@ class Cokernel:
         ]
         coords.extend(coordinate(i) for i in range(self._rank, g))
         return tuple(coords)
+
+    def generator_classes(self) -> tuple[tuple[int, ...], ...]:
+        """`project` of every unit vector, read off the rows of V."""
+        torsion = tuple(zip(self._torsion_positions, self.invariant_factors))
+        rank = self._rank
+        return tuple(
+            tuple(row[pos] % f for pos, f in torsion) + row[rank:]
+            for row in self._v.entries
+        )
 
 
 def cokernel(a: IntMatrix) -> Cokernel:

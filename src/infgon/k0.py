@@ -185,7 +185,7 @@ def k0_presentation(params: CategoryParams, family: ArcFamily) -> K0Presentation
     )
     coker = cokernel(matrix)
 
-    raw_classes = [coker.project(_unit(basis.size, j)) for j in range(basis.size)]
+    raw_classes = coker.generator_classes()
     torsion = len(coker.invariant_factors)
     signs = []
     for slot in range(coker.free_rank):
@@ -210,12 +210,6 @@ def k0_presentation(params: CategoryParams, family: ArcFamily) -> K0Presentation
         _cokernel=coker,
         _free_signs=tuple(signs),
     )
-
-
-def _unit(size: int, j: int) -> list[int]:
-    vec = [0] * size
-    vec[j] = 1
-    return vec
 
 
 def expected_canonical_class(params: CategoryParams, i: int) -> int:
@@ -243,9 +237,9 @@ class TheoremReport:
     relations_used: int
     passed: bool
     first_violation: str | None
+    arcs: tuple[Arc, ...] = field(compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
-        fam = canonical_family(self.params, self.truncation)
         return {
             "n": self.params.n,
             "m": self.truncation,
@@ -253,7 +247,7 @@ class TheoremReport:
             "free_rank": self.free_rank,
             "invariant_factors": list(self.invariant_factors),
             "classes": {
-                f"[{a.t},{a.u}]": list(c) for a, c in zip(fam.arcs, self.classes)
+                f"[{a.t},{a.u}]": list(c) for a, c in zip(self.arcs, self.classes)
             },
             "relations_used": self.relations_used,
             "first_violation": self.first_violation,
@@ -299,4 +293,5 @@ def verify_theorem(params: CategoryParams, m: int) -> TheoremReport:
         relations_used=len(pres.relations),
         passed=violation is None,
         first_violation=violation,
+        arcs=family.arcs,
     )

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line: exit codes, JSON shapes, files."""
 
+import io
 import json
 
 import pytest
@@ -245,6 +246,39 @@ def test_present_explicit_family_is_an_upper_bound(capsys):
     assert out["truncation"] is None
     assert out["free_rank"] == 2
     assert out["classes"] == {"[1,5]": [1, 0], "[100,104]": [0, 1]}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"n": 3, "family": "canonical", "m": 4}',
+        '{"n": 3, "arcs": [[1, 5], [-2, 5], [-2, 8], [-5, 8]]}',
+    ],
+)
+def test_present_output_does_not_depend_on_the_input_channel(
+    capsys, monkeypatch, tmp_path, payload, fmt
+):
+    path = tmp_path / "family.json"
+    path.write_text(payload)
+    _, via_json, _ = run(capsys, "k0", "present", "--json", payload, "--format", fmt)
+    _, via_file, _ = run(capsys, "k0", "present", "--input", str(path), "--format", fmt)
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    _, via_stdin, _ = run(capsys, "k0", "present", "--format", fmt)
+    _, via_flag, _ = run(
+        capsys, "k0", "present", "-n", "3", "--canonical", "4", "--format", fmt
+    )
+    assert via_json == via_file == via_stdin == via_flag
+    assert "canonical truncation" in via_json
+
+
+def test_present_reordered_canonical_arcs_are_an_upper_bound(capsys):
+    code, out = run_json(
+        capsys, "k0", "present", "--json", '{"n": 3, "arcs": [[-2, 5], [1, 5]]}'
+    )
+    assert code == 0
+    assert out["label"] == "upper-bound presentation"
+    assert out["truncation"] is None
 
 
 def test_present_rejects_canonical_with_payload(capsys):

@@ -1,7 +1,9 @@
 """Tests for exact integer matrices, Smith normal form, and cokernels."""
 
+from dataclasses import replace
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from infgon import IntMatrix, cokernel, smith_normal_form
@@ -119,6 +121,86 @@ def test_snf_matches_minor_gcd_oracle(a):
     assert abs(res.u.determinant()) == 1
     assert abs(res.v.determinant()) == 1
     assert res.u.mul(a).mul(res.v) == res.d
+    # the certificate the self-check accepted agrees with the dense oracles:
+    # both inverses are two-sided and unimodular
+    res.verify()
+    assert res.u.mul(res.u_inv) == res.u_inv.mul(res.u) == IntMatrix.identity(a.rows)
+    assert res.v.mul(res.v_inv) == res.v_inv.mul(res.v) == IntMatrix.identity(a.cols)
+    assert abs(res.u_inv.determinant()) == abs(res.v_inv.determinant()) == 1
+
+
+def test_snf_self_check_needs_no_determinant_or_dense_product(monkeypatch):
+    def forbidden(*_):
+        raise AssertionError("the self-check must not call this")
+
+    monkeypatch.setattr(IntMatrix, "determinant", forbidden)
+    monkeypatch.setattr(IntMatrix, "mul", forbidden)
+    res = smith_normal_form(IntMatrix.from_rows([[3, -1, 2], [0, 4, 6], [7, 7, 7]]))
+    assert res.diagonal() == (1, 1, 140)
+
+
+def _bumped(m, i, j, delta=1):
+    rows = [list(r) for r in m.entries]
+    rows[i][j] += delta
+    return IntMatrix.from_rows(rows, cols=m.cols)
+
+
+# U = (1 0; 3 -1), D = diag(2, 4), V = (1 -2; 0 1): U and V are not identities
+GENUINE = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+
+
+@given(st.lists(st.integers(-9, 9), min_size=4, max_size=4))
+def test_verify_rejects_non_unimodular_u_with_any_inverse(claimed):
+    # det diag(2, 1) = 2: row 0 of U * X is even, so U * X = I is impossible
+    u = IntMatrix.from_rows([[2, 0], [0, 1]])
+    forged = replace(GENUINE, u=u, u_inv=IntMatrix.from_rows([claimed[:2], claimed[2:]]))
+    with pytest.raises(AssertionError, match="U is not unimodular"):
+        forged.verify()
+
+
+@pytest.mark.parametrize("field", ["u_inv", "v_inv"])
+@pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_verify_rejects_an_inverse_off_by_one_entry(field, i, j):
+    forged = replace(GENUINE, **{field: _bumped(getattr(GENUINE, field), i, j)})
+    with pytest.raises(AssertionError, match="not unimodular"):
+        forged.verify()
+
+
+def test_verify_rejects_a_wrong_entry_of_d():
+    # (2, 8) keeps D diagonal, non-negative and divisible; only U * A * V fails
+    forged = replace(GENUINE, d=_bumped(GENUINE.d, 1, 1, 4))
+    with pytest.raises(AssertionError, match="U \\* A != D \\* V\\^-1"):
+        forged.verify()
+    with pytest.raises(AssertionError, match="not diagonal"):
+        replace(GENUINE, d=_bumped(GENUINE.d, 0, 1)).verify()
+
+
+def test_verify_rejects_a_v_inverse_that_does_not_match_v():
+    with pytest.raises(AssertionError, match="V is not unimodular"):
+        replace(GENUINE, v_inv=IntMatrix.identity(2)).verify()
+    # a consistent pair that does not diagonalize A: only U * A = D * V^-1 fails
+    w = IntMatrix.from_rows([[1, 1], [0, 1]])
+    w_inv = IntMatrix.from_rows([[1, -1], [0, 1]])
+    with pytest.raises(AssertionError, match="U \\* A != D \\* V\\^-1"):
+        replace(GENUINE, v=w, v_inv=w_inv).verify()
+
+
+def test_verify_rejects_transforms_of_the_wrong_shape():
+    for field in ("u", "u_inv", "v", "v_inv"):
+        with pytest.raises(AssertionError, match="wrong shape"):
+            replace(GENUINE, **{field: IntMatrix.identity(3)}).verify()
+
+
+@given(small_matrix(), st.sampled_from(["matrix", "u", "d", "v", "u_inv", "v_inv"]),
+       st.integers(0, 35), st.sampled_from([-2, -1, 1, 3]))
+@settings(max_examples=300, deadline=None)
+def test_verify_rejects_any_single_entry_change(a, field, at, delta):
+    res = smith_normal_form(a)
+    m = getattr(res, field)
+    assume(m.rows and m.cols)
+    i, j = divmod(at % (m.rows * m.cols), m.cols)
+    with pytest.raises(AssertionError):
+        replace(res, **{field: _bumped(m, i, j, delta)}).verify()
 
 
 def test_snf_divisibility_on_a_torsion_heavy_matrix():
@@ -163,6 +245,14 @@ def test_project_validates_length():
     c = cokernel(IntMatrix.from_rows([[2, 0]]))
     with pytest.raises(ValueError):
         c.project((1, 2, 3))
+
+
+@given(small_matrix())
+@settings(max_examples=200, deadline=None)
+def test_generator_classes_are_projected_unit_vectors(a):
+    c = cokernel(a)
+    units = [tuple(int(i == j) for i in range(a.cols)) for j in range(a.cols)]
+    assert c.generator_classes() == tuple(c.project(e) for e in units)
 
 
 @given(small_matrix())

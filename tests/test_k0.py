@@ -1,5 +1,7 @@
 """Tests for the Grothendieck group presentation and the rank-one theorem."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,6 +202,13 @@ def test_theorem_minimal_truncation_uses_one_relation():
 def test_theorem_rejects_tiny_m():
     with pytest.raises(ValueError):
         verify_theorem(CategoryParams(3), 1)
+
+
+def test_theorem_report_carries_its_arcs_outside_equality():
+    report = verify_theorem(CategoryParams(3), 4)
+    assert report.arcs == canonical_family(CategoryParams(3), 4).arcs
+    assert report == replace(report, arcs=())
+    assert "arcs" not in repr(report)
 
 
 def test_theorem_report_json():
