@@ -10,10 +10,7 @@ SVG figures.
 
 from .angulation import (
     ArcFamily,
-    EndBehavior,
-    EndKind,
     canonical_family,
-    classify_ends,
     complete_in_window,
     is_maximal_in_window,
     parse_family,
@@ -63,8 +60,6 @@ __all__ = [
     "ArTriangle",
     "CategoryParams",
     "Cokernel",
-    "EndBehavior",
-    "EndKind",
     "IntMatrix",
     "K0Basis",
     "K0Presentation",
@@ -79,7 +74,6 @@ __all__ = [
     "arc_diagram_svg",
     "arrows_from",
     "canonical_family",
-    "classify_ends",
     "cokernel",
     "complete_in_window",
     "component_index",

@@ -8,17 +8,13 @@ when no admissible arc within that window can be added without a crossing.
 That certificate is exhaustively checkable and is all the CLI ever claims.
 
 Also here: the canonical staircase family used throughout the tests (its
-members alternately widen to the right and to the left), and the end
-behaviour vocabulary (fountains vs local finiteness).  Finite families are
-always locally finite; the symbolic "canonical" tag is accepted and is
-locally finite as well since each integer meets only finitely many of its
-members.
+members alternately widen to the right and to the left).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 from .arcs import (
@@ -134,19 +130,35 @@ def validate_noncrossing(f: ArcFamily) -> tuple[Arc, Arc] | None:
     return worst
 
 
-def _require_noncrossing_inside(f: ArcFamily, w: Window) -> None:
-    # precondition gate shared by the maximality and completion operations
-    for a in f.arcs:
-        if not w.contains_arc(a):
-            raise ValueError(
-                f"arc ({a.t}, {a.u}) lies outside the window [{w.lo}, {w.hi}]"
-            )
+def require_noncrossing(f: ArcFamily) -> None:
+    """Raise ValueError naming the first crossing pair, if f has one."""
     pair = validate_noncrossing(f)
     if pair is not None:
         (a, b) = pair
         raise ValueError(
             f"family is not non-crossing: ({a.t}, {a.u}) crosses ({b.t}, {b.u})"
         )
+
+
+def _greedy_additions(f: ArcFamily, w: Window) -> Iterator[Arc]:
+    """The arcs that greedy completion of f inside w adds, in (t, u) order.
+
+    A candidate is kept when it crosses neither f nor any arc kept before
+    it, so the first arc yielded is the smallest arc addable to f.  The
+    preconditions (every member inside w, f non-crossing) are checked on
+    the first step and raise ValueError.
+    """
+    for a in f.arcs:
+        if not w.contains_arc(a):
+            raise ValueError(
+                f"arc ({a.t}, {a.u}) lies outside the window [{w.lo}, {w.hi}]"
+            )
+    require_noncrossing(f)
+    kept = list(f.arcs)
+    for cand in enumerate_arcs(f.params, w):
+        if cand not in f and not any(crosses(cand, a) for a in kept):
+            kept.append(cand)
+            yield cand
 
 
 def is_maximal_in_window(f: ArcFamily, w: Window) -> Arc | None:
@@ -157,14 +169,7 @@ def is_maximal_in_window(f: ArcFamily, w: Window) -> Arc | None:
     Precondition violations (member outside w, or a crossing inside f)
     raise ValueError instead of returning a verdict.
     """
-    _require_noncrossing_inside(f, w)
-    members = set(f.arcs)
-    for cand in enumerate_arcs(f.params, w):
-        if cand in members:
-            continue
-        if all(not crosses(cand, a) for a in f.arcs):
-            return cand
-    return None
+    return next(_greedy_additions(f, w), None)
 
 
 def complete_in_window(f: ArcFamily, w: Window) -> ArcFamily:
@@ -174,16 +179,7 @@ def complete_in_window(f: ArcFamily, w: Window) -> ArcFamily:
     accepted so far, so the result is deterministic and idempotent.  The
     input arcs are preserved, in order, at the front.
     """
-    _require_noncrossing_inside(f, w)
-    kept = list(f.arcs)
-    members = set(kept)
-    for cand in enumerate_arcs(f.params, w):
-        if cand in members:
-            continue
-        if all(not crosses(cand, a) for a in kept):
-            kept.append(cand)
-            members.add(cand)
-    return ArcFamily(f.params, tuple(kept))
+    return ArcFamily(f.params, f.arcs + tuple(_greedy_additions(f, w)))
 
 
 def canonical_family(params: CategoryParams, m: int) -> ArcFamily:
@@ -204,41 +200,3 @@ def canonical_family(params: CategoryParams, m: int) -> ArcFamily:
         else:
             arcs.append(Arc(1 - k * n, 2 + (k + 1) * n))
     return ArcFamily(params, tuple(arcs))
-
-
-class EndKind(str, Enum):
-    LOCALLY_FINITE = "locally_finite"
-    LEFT_FOUNTAIN = "left_fountain"
-    RIGHT_FOUNTAIN = "right_fountain"
-    FOUNTAIN = "fountain"
-
-
-@dataclass(frozen=True)
-class EndBehavior:
-    """End behaviour verdict; fountain kinds carry their base point."""
-
-    kind: EndKind
-    at: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is EndKind.LOCALLY_FINITE:
-            if self.at is not None:
-                raise ValueError("locally finite behaviour has no base point")
-        elif self.at is None:
-            raise ValueError(f"{self.kind.value} behaviour needs a base point")
-
-
-def classify_ends(family: ArcFamily | str) -> EndBehavior:
-    """End behaviour of a family.
-
-    Every finite family is locally finite (each integer meets finitely many
-    arcs).  The symbolic tag "canonical" stands for the full staircase
-    family, which is locally finite too: any fixed integer is the left
-    endpoint of at most two members and the right endpoint of at most two.
-    Other symbolic tags are rejected.
-    """
-    if isinstance(family, ArcFamily):
-        return EndBehavior(EndKind.LOCALLY_FINITE)
-    if family == CANONICAL_TAG:
-        return EndBehavior(EndKind.LOCALLY_FINITE)
-    raise ValueError(f"unknown symbolic family tag {family!r}")

@@ -4,9 +4,9 @@ Every subcommand wraps one library call: read JSON (inline, file, or
 stdin), run the operation, write JSON, a text summary, or SVG.  Exit codes
 are 0 for success or a passing check, 1 for a mathematical failure (a
 verification or certificate that comes back negative), and 2 for input
-errors.  Identical invocations produce byte-identical output; the only
-environment variable consulted is NO_COLOR, which disables the pass/fail
-coloring of text summaries.
+errors.  Identical invocations produce byte-identical output.  NO_COLOR
+disables the pass/fail coloring of text summaries on a terminal (a file
+named by -o is never colored); argparse wraps --help text to COLUMNS.
 """
 
 from __future__ import annotations
@@ -45,140 +45,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="infgon",
-        description="Arc model of the n-cluster categories of the infinity-gon.",
-    )
-    groups = parser.add_subparsers(dest="group", metavar="GROUP")
-    groups.required = True
-
-    arcs_cmd = groups.add_parser("arcs", help="validate and enumerate admissible arcs")
-    arcs_sub = arcs_cmd.add_subparsers(dest="command", metavar="COMMAND")
-    arcs_sub.required = True
-    p = arcs_sub.add_parser("validate", help="check arcs for normalization and admissibility")
-    _add_param_n(p, required=False)
-    _add_payload_opts(p)
-    _add_format_opt(p)
-    p.set_defaults(handler=_cmd_arcs_validate)
-    p = arcs_sub.add_parser("enumerate", help="list all admissible arcs inside a window")
-    _add_param_n(p, required=True)
-    p.add_argument("--window", nargs=2, type=int, required=True, metavar=("LO", "HI"))
-    _add_format_opt(p)
-    p.set_defaults(handler=_cmd_arcs_enumerate)
-
-    quiver_cmd = groups.add_parser("quiver", help="inspect the translation quiver")
-    quiver_sub = quiver_cmd.add_subparsers(dest="command", metavar="COMMAND")
-    quiver_sub.required = True
-    p = quiver_sub.add_parser("window", help="extract a finite window of one component")
-    _add_quiver_opts(p)
-    _add_format_opt(p)
-    p.set_defaults(handler=_cmd_quiver_window)
-
-    ang_cmd = groups.add_parser("angulation", help="non-crossing families and maximality")
-    ang_sub = ang_cmd.add_subparsers(dest="command", metavar="COMMAND")
-    ang_sub.required = True
-    p = ang_sub.add_parser("check", help="non-crossing and window-maximality certificate")
-    _add_param_n(p, required=False)
-    _add_payload_opts(p)
-    p.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"))
-    _add_format_opt(p)
-    p.set_defaults(handler=_cmd_angulation_check)
-    p = ang_sub.add_parser("complete", help="greedily extend a family inside a window")
-    _add_param_n(p, required=False)
-    _add_payload_opts(p)
-    p.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"))
-    _add_format_opt(p)
-    p.set_defaults(handler=_cmd_angulation_complete)
-
-    family_cmd = groups.add_parser("family", help="built-in arc families")
-    family_sub = family_cmd.add_subparsers(dest="command", metavar="COMMAND")
-    family_sub.required = True
-    p = family_sub.add_parser("canonical", help="the first m arcs of the staircase family")
-    _add_param_n(p, required=True)
-    p.add_argument("--m", type=int, required=True, help="number of arcs")
-    _add_format_opt(p)
-    p.set_defaults(handler=_cmd_family_canonical)
-
-    k0_cmd = groups.add_parser("k0", help="Grothendieck group presentations")
-    k0_sub = k0_cmd.add_subparsers(dest="command", metavar="COMMAND")
-    k0_sub.required = True
-    p = k0_sub.add_parser("present", help="present the quotient group of a family")
-    _add_param_n(p, required=False)
-    _add_payload_opts(p)
-    p.add_argument("--canonical", type=int, metavar="M", help="use the canonical family of size M")
-    _add_format_opt(p)
-    p.set_defaults(handler=_cmd_k0_present)
-    p = k0_sub.add_parser("verify", help="check a canonical truncation against the known answer")
-    _add_param_n(p, required=True)
-    p.add_argument("--m", type=int, required=True, help="truncation size (>= 2)")
-    _add_format_opt(p)
-    p.set_defaults(handler=_cmd_k0_verify)
-
-    render_cmd = groups.add_parser("render", help="SVG figures")
-    render_sub = render_cmd.add_subparsers(dest="command", metavar="COMMAND")
-    render_sub.required = True
-    p = render_sub.add_parser("arcs", help="draw an arc family over a window")
-    _add_param_n(p, required=False)
-    _add_payload_opts(p)
-    p.add_argument("--canonical", type=int, metavar="M", help="use the canonical family of size M")
-    p.add_argument("--window", nargs=2, type=int, required=True, metavar=("LO", "HI"))
-    _add_render_opts(p)
-    p.set_defaults(handler=_cmd_render_arcs)
-    p = render_sub.add_parser("quiver", help="draw a quiver window")
-    _add_quiver_opts(p)
-    p.add_argument(
-        "--highlight-canonical",
-        type=int,
-        metavar="M",
-        help="highlight members of the canonical family of size M",
-    )
-    _add_render_opts(p)
-    p.set_defaults(handler=_cmd_render_quiver)
-
-    return parser
-
-
-def _add_param_n(p: argparse.ArgumentParser, required: bool) -> None:
-    p.add_argument(
-        "-n",
-        type=int,
-        required=required,
-        help="model parameter n >= 1" + ("" if required else " (optional if the input carries it)"),
-    )
-
-
-def _add_payload_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", metavar="PATH", help="read JSON from a file")
-    p.add_argument("--json", metavar="STR", help="inline JSON")
-
-
-def _add_format_opt(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("-o", "--output", metavar="PATH", help="write to a file instead of stdout")
-
-
-def _add_quiver_opts(p: argparse.ArgumentParser) -> None:
-    _add_param_n(p, required=True)
-    p.add_argument("--component", type=int, required=True, help="component index in 0..n-1")
-    p.add_argument("--trange", nargs=2, type=int, required=True, metavar=("LO", "HI"))
-    p.add_argument("--depth", type=int, required=True, help="largest row to include")
-    p.add_argument(
-        "--columns",
-        nargs=2,
-        type=int,
-        metavar=("LO", "HI"),
-        help="also restrict t+u to this band (diagonal crop)",
-    )
-
-
-def _add_render_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--width", type=int, default=900)
-    p.add_argument("--height", type=int, default=360)
-    p.add_argument("--no-labels", action="store_true")
-    p.add_argument("-o", "--output", metavar="PATH", help="write the SVG to a file")
-
-
 def _params(args: argparse.Namespace) -> CategoryParams | None:
     return CategoryParams(args.n) if args.n is not None else None
 
@@ -188,12 +54,17 @@ def _payload(args: argparse.Namespace) -> object:
     if len(given) > 1:
         raise ValueError("give at most one of --input and --json")
     if args.json is not None:
-        return json.loads(args.json)
-    if args.input is not None:
-        return json.loads(Path(args.input).read_text(encoding="utf-8"))
-    if sys.stdin.isatty():
+        text = args.json
+    elif args.input is not None:
+        text = Path(args.input).read_text(encoding="utf-8")
+    elif sys.stdin.isatty():
         raise ValueError("no input: use --input PATH or --json STR (or pipe JSON to stdin)")
-    return json.load(sys.stdin)
+    else:
+        text = sys.stdin.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
 
 
 def _family_from_args(args: argparse.Namespace) -> ArcFamily:
@@ -217,9 +88,8 @@ def _window_from_args(args: argparse.Namespace, family: ArcFamily | None = None)
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
-    output = getattr(args, "output", None)
-    if output:
-        Path(output).write_text(text, encoding="utf-8")
+    if args.output:
+        Path(args.output).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
@@ -228,9 +98,10 @@ def _emit_json(args: argparse.Namespace, obj: object) -> None:
     _emit(args, json.dumps(obj, indent=2) + "\n")
 
 
-def _colored(verdict: bool, word_true: str = "PASS", word_false: str = "FAIL") -> str:
-    word = word_true if verdict else word_false
-    if os.environ.get("NO_COLOR") is None and sys.stdout.isatty():
+def _colored(args: argparse.Namespace, verdict: bool) -> str:
+    # colour is for a terminal, so never for text written to an -o file
+    word = "PASS" if verdict else "FAIL"
+    if os.environ.get("NO_COLOR") is None and not args.output and sys.stdout.isatty():
         code = "32" if verdict else "31"
         return f"\x1b[{code}m{word}\x1b[0m"
     return word
@@ -328,7 +199,7 @@ def _cmd_angulation_check(args: argparse.Namespace) -> int:
         elif not passed:
             w = report["witness"]
             lines.append(f"not maximal: arc ({w[0]}, {w[1]}) can be added")  # type: ignore[index]
-        lines.append(f"result: {_colored(passed)}")
+        lines.append(f"result: {_colored(args, passed)}")
         _emit(args, "\n".join(lines) + "\n")
     else:
         _emit_json(args, report)
@@ -393,7 +264,7 @@ def _cmd_k0_verify(args: argparse.Namespace) -> int:
         ]
         if report.first_violation:
             lines.append(f"violation: {report.first_violation}")
-        lines.append(f"result: {_colored(report.passed)}")
+        lines.append(f"result: {_colored(args, report.passed)}")
         _emit(args, "\n".join(lines) + "\n")
     else:
         _emit_json(args, report.to_json_dict())
@@ -427,6 +298,103 @@ def _cmd_render_quiver(args: argparse.Namespace) -> int:
     svg = quiver_svg(qw, _render_options(args, highlight))
     _emit(args, svg)
     return EXIT_OK
+
+
+def _opt(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+_LO_HI = {"nargs": 2, "type": int, "metavar": ("LO", "HI")}
+_N = _opt("-n", type=int, required=True, help="model parameter n >= 1")
+_N_OR_INPUT = _opt(
+    "-n", type=int, help="model parameter n >= 1 (optional if the input carries it)"
+)
+_INPUT = (
+    _opt("--input", metavar="PATH", help="read JSON from a file"),
+    _opt("--json", metavar="STR", help="inline JSON"),
+)
+_FORMAT = (
+    _opt("--format", choices=("json", "text"), default="json"),
+    _opt("-o", "--output", metavar="PATH", help="write to a file instead of stdout"),
+)
+_WINDOW = _opt("--window", **_LO_HI)
+_CANONICAL = _opt(
+    "--canonical", type=int, metavar="M", help="use the canonical family of size M"
+)
+_QUIVER = (
+    _N,
+    _opt("--component", type=int, required=True, help="component index in 0..n-1"),
+    _opt("--trange", required=True, **_LO_HI),
+    _opt("--depth", type=int, required=True, help="largest row to include"),
+    _opt("--columns", help="also restrict t+u to this band (diagonal crop)", **_LO_HI),
+)
+_SVG = (
+    _opt("--width", type=int, default=900),
+    _opt("--height", type=int, default=360),
+    _opt("--no-labels", action="store_true"),
+    _opt("-o", "--output", metavar="PATH", help="write the SVG to a file"),
+)
+
+# (group, help, [(command, help, options, handler)]), in --help order
+_COMMANDS = (
+    ("arcs", "validate and enumerate admissible arcs", [
+        ("validate", "check arcs for normalization and admissibility",
+         (_N_OR_INPUT, *_INPUT, *_FORMAT), _cmd_arcs_validate),
+        ("enumerate", "list all admissible arcs inside a window",
+         (_N, _opt("--window", required=True, **_LO_HI), *_FORMAT), _cmd_arcs_enumerate),
+    ]),
+    ("quiver", "inspect the translation quiver", [
+        ("window", "extract a finite window of one component",
+         (*_QUIVER, *_FORMAT), _cmd_quiver_window),
+    ]),
+    ("angulation", "non-crossing families and maximality", [
+        ("check", "non-crossing and window-maximality certificate",
+         (_N_OR_INPUT, *_INPUT, _WINDOW, *_FORMAT), _cmd_angulation_check),
+        ("complete", "greedily extend a family inside a window",
+         (_N_OR_INPUT, *_INPUT, _WINDOW, *_FORMAT), _cmd_angulation_complete),
+    ]),
+    ("family", "built-in arc families", [
+        ("canonical", "the first m arcs of the staircase family",
+         (_N, _opt("--m", type=int, required=True, help="number of arcs"), *_FORMAT),
+         _cmd_family_canonical),
+    ]),
+    ("k0", "Grothendieck group presentations", [
+        ("present", "present the quotient group of a family",
+         (_N_OR_INPUT, *_INPUT, _CANONICAL, *_FORMAT), _cmd_k0_present),
+        ("verify", "check a canonical truncation against the known answer",
+         (_N, _opt("--m", type=int, required=True, help="truncation size (>= 2)"), *_FORMAT),
+         _cmd_k0_verify),
+    ]),
+    ("render", "SVG figures", [
+        ("arcs", "draw an arc family over a window",
+         (_N_OR_INPUT, *_INPUT, _CANONICAL, _opt("--window", required=True, **_LO_HI), *_SVG),
+         _cmd_render_arcs),
+        ("quiver", "draw a quiver window",
+         (*_QUIVER,
+          _opt("--highlight-canonical", type=int, metavar="M",
+               help="highlight members of the canonical family of size M"),
+          *_SVG),
+         _cmd_render_quiver),
+    ]),
+)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="infgon",
+        description="Arc model of the n-cluster categories of the infinity-gon.",
+    )
+    groups = parser.add_subparsers(dest="group", metavar="GROUP", required=True)
+    for group, group_help, commands in _COMMANDS:
+        sub = groups.add_parser(group, help=group_help).add_subparsers(
+            dest="command", metavar="COMMAND", required=True
+        )
+        for command, command_help, options, handler in commands:
+            p = sub.add_parser(command, help=command_help)
+            for flags, kwargs in options:
+                p.add_argument(*flags, **kwargs)
+            p.set_defaults(handler=handler)
+    return parser
 
 
 if __name__ == "__main__":

@@ -88,12 +88,6 @@ class IntMatrix:
             out.append(tuple(acc))
         return IntMatrix(self.rows, ocols, tuple(out))
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(
-            tuple(self.entries[i][j] for i in range(self.rows))
-            for j in range(self.cols)
-        ))
-
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
@@ -148,10 +142,6 @@ class SnfResult:
     @property
     def rank(self) -> int:
         return sum(1 for x in self.diagonal() if x != 0)
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        """The diagonal entries exceeding 1, i.e. the torsion part."""
-        return tuple(x for x in self.diagonal() if x > 1)
 
     def verify(self) -> None:
         """Re-check every contract from first principles; raise on failure."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .angulation import ArcFamily, canonical_family, validate_noncrossing
+from .angulation import ArcFamily, canonical_family, require_noncrossing
 from .arcs import Arc, CategoryParams
 from .intlinalg import Cokernel, IntMatrix, cokernel
 from .quiver import ar_triangle, arrows_from
@@ -62,11 +62,6 @@ class RelationVector:
 
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coefficients)
-
-    def evaluate(self, values: list[int] | tuple[int, ...]) -> int:
-        if len(values) != len(self.coefficients):
-            raise ValueError("value vector has the wrong length")
-        return sum(c * x for c, x in zip(self.coefficients, values))
 
 
 def ar_relations(params: CategoryParams, basis: K0Basis) -> list[RelationVector]:
@@ -172,12 +167,7 @@ def k0_presentation(params: CategoryParams, family: ArcFamily) -> K0Presentation
         raise ValueError(
             f"parameter mismatch: n = {params.n} vs family n = {family.params.n}"
         )
-    pair = validate_noncrossing(family)
-    if pair is not None:
-        a, b = pair
-        raise ValueError(
-            f"family is not non-crossing: ({a.t}, {a.u}) crosses ({b.t}, {b.u})"
-        )
+    require_noncrossing(family)
     basis = K0Basis(family)
     relations = ar_relations(params, basis)
     matrix = IntMatrix.from_rows(

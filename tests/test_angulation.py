@@ -8,11 +8,8 @@ from infgon import (
     Arc,
     ArcFamily,
     CategoryParams,
-    EndBehavior,
-    EndKind,
     Window,
     canonical_family,
-    classify_ends,
     complete_in_window,
     crosses,
     enumerate_arcs,
@@ -267,29 +264,3 @@ def test_canonical_is_locally_finite(n):
         for e in (a.t, a.u):
             incidence[e] = incidence.get(e, 0) + 1
     assert max(incidence.values()) <= 2
-
-
-# ------------------------------------------------------------ end behavior
-
-
-def test_classify_finite_family():
-    b = classify_ends(fam(3, [(1, 5), (-2, 5)]))
-    assert b == EndBehavior(EndKind.LOCALLY_FINITE)
-    assert b.at is None
-
-
-def test_classify_canonical_tag():
-    assert classify_ends("canonical").kind is EndKind.LOCALLY_FINITE
-
-
-def test_classify_unknown_tag():
-    with pytest.raises(ValueError, match="unknown symbolic family tag"):
-        classify_ends("left-fountain-at-0")
-
-
-def test_end_behavior_validation():
-    assert EndBehavior(EndKind.FOUNTAIN, at=0).at == 0
-    with pytest.raises(ValueError):
-        EndBehavior(EndKind.FOUNTAIN)
-    with pytest.raises(ValueError):
-        EndBehavior(EndKind.LOCALLY_FINITE, at=3)

@@ -77,6 +77,23 @@ def test_missing_input_is_an_input_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("channel", ["--json", "--input", "stdin"])
+def test_deeply_nested_json_is_an_input_error(capsys, monkeypatch, tmp_path, channel):
+    deep = "[" * 5000 + "]" * 5000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    argv = {
+        "--json": ["arcs", "validate", "-n", "1", "--json", deep],
+        "--input": ["arcs", "validate", "-n", "1", "--input", str(path)],
+        "stdin": ["k0", "present", "-n", "1"],
+    }[channel]
+    monkeypatch.setattr("sys.stdin", io.StringIO(deep))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: input JSON is nested too deeply\n"
+
+
 # ---------------------------------------------------------- arcs enumerate
 
 
@@ -316,6 +333,19 @@ def test_verify_text_output(capsys, monkeypatch):
     assert code == 0
     assert "classes=[1, 2, 3, 4]" in out
     assert out.rstrip().endswith("result: PASS")
+
+
+def test_verdict_is_colored_on_a_terminal_but_not_in_an_output_file(
+    capsys, monkeypatch, tmp_path
+):
+    monkeypatch.delenv("NO_COLOR", raising=False)
+    monkeypatch.setattr("sys.stdout.isatty", lambda: True)
+    argv = ["k0", "verify", "-n", "2", "--m", "4", "--format", "text"]
+    target = tmp_path / "out.txt"
+    assert main([*argv, "-o", str(target)]) == 0
+    assert target.read_text().endswith("result: PASS\n")
+    _, out, _ = run(capsys, *argv)
+    assert out.endswith("result: \x1b[32mPASS\x1b[0m\n")
 
 
 def test_verify_rejects_tiny_truncation(capsys):

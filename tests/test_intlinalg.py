@@ -45,11 +45,6 @@ def test_identity_and_mul():
         b.mul(a)
 
 
-def test_transpose():
-    a = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
-    assert a.transpose().entries == ((1, 4), (2, 5), (3, 6))
-
-
 def test_determinant():
     assert IntMatrix.from_rows([[2, 4], [6, 8]]).determinant() == -8
     assert IntMatrix.from_rows([], cols=0).determinant() == 1
@@ -68,16 +63,17 @@ def test_json_round_trip():
 
 
 def test_snf_worked_example():
-    res = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
+    a = IntMatrix.from_rows([[2, 4], [6, 8]])
+    res = smith_normal_form(a)
     assert res.diagonal() == (2, 4)
     assert res.rank == 2
-    assert res.invariant_factors() == (2, 4)
+    assert cokernel(a).invariant_factors == (2, 4)
 
 
 def test_snf_identity_and_zero():
     res = smith_normal_form(IntMatrix.identity(3))
     assert res.diagonal() == (1, 1, 1)
-    assert res.invariant_factors() == ()
+    assert cokernel(IntMatrix.identity(3)).invariant_factors == ()
 
     res = smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]]))
     assert res.diagonal() == (0, 0)
