@@ -264,3 +264,22 @@ def test_canonical_is_locally_finite(n):
         for e in (a.t, a.u):
             incidence[e] = incidence.get(e, 0) + 1
     assert max(incidence.values()) <= 2
+
+
+# ------------------------------------------------------ symbolic family tags
+
+
+def test_classify_canonical_tag():
+    # the one symbolic tag parse_family accepts names a locally finite family
+    f = parse_family({"n": 3, "family": "canonical", "m": 40})
+    incidence = {}
+    for a in f:
+        for e in (a.t, a.u):
+            incidence[e] = incidence.get(e, 0) + 1
+    assert max(incidence.values()) <= 2
+
+
+def test_classify_unknown_tag():
+    # a fountain-style tag is not a family the library can build
+    with pytest.raises(ValueError, match="unknown symbolic family tag"):
+        parse_family({"n": 3, "family": "left-fountain-at-0", "m": 4})
