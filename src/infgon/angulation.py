@@ -14,8 +14,7 @@ members alternately widen to the right and to the left).
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 from .arcs import (
     Arc,
@@ -24,6 +23,8 @@ from .arcs import (
     crosses,
     enumerate_arcs,
     require_admissible,
+    require_inside,
+    short_repr,
 )
 
 CANONICAL_TAG = "canonical"
@@ -35,20 +36,22 @@ class ArcFamily:
 
     Construction validates every member, so a live ArcFamily never holds an
     inadmissible or unnormalized arc.  Order is preserved: it is the
-    generator order for group presentations.
+    generator order for group presentations, and `index` maps each member
+    to its position in it.
     """
 
     params: CategoryParams
     arcs: tuple[Arc, ...]
+    index: dict[Arc, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(self.arcs))
-        seen: set[Arc] = set()
-        for a in self.arcs:
+        index: dict[Arc, int] = {}
+        for i, a in enumerate(self.arcs):
             require_admissible(self.params, a)
-            if a in seen:
+            if index.setdefault(a, i) != i:
                 raise ValueError(f"duplicate arc ({a.t}, {a.u}) in family")
-            seen.add(a)
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.arcs)
@@ -56,12 +59,8 @@ class ArcFamily:
     def __iter__(self):
         return iter(self.arcs)
 
-    @cached_property
-    def _members(self) -> frozenset[Arc]:
-        return frozenset(self.arcs)
-
     def __contains__(self, a: object) -> bool:
-        return a in self._members
+        return a in self.index
 
     def to_json_dict(self) -> dict:
         return {"n": self.params.n, "arcs": [a.to_json() for a in self.arcs]}
@@ -81,7 +80,7 @@ def parse_family(payload: object, params: CategoryParams | None = None) -> ArcFa
             raise ValueError("bare arc array given but parameter n is unknown")
         return ArcFamily(params, tuple(Arc.from_json(item) for item in payload))
     if not isinstance(payload, dict):
-        raise ValueError(f"family must be a JSON array or object, got {payload!r}")
+        raise ValueError(f"family must be a JSON array or object, got {short_repr(payload)}")
 
     embedded = payload.get("n")
     if embedded is None:
@@ -90,7 +89,7 @@ def parse_family(payload: object, params: CategoryParams | None = None) -> ArcFa
         n = params.n
     else:
         if isinstance(embedded, bool) or not isinstance(embedded, int):
-            raise ValueError(f"field 'n' must be an integer, got {embedded!r}")
+            raise ValueError(f"field 'n' must be an integer, got {short_repr(embedded)}")
         if params is not None and params.n != embedded:
             raise ValueError(
                 f"parameter mismatch: -n {params.n} vs field 'n' = {embedded}"
@@ -101,15 +100,17 @@ def parse_family(payload: object, params: CategoryParams | None = None) -> ArcFa
     if CANONICAL_TAG == payload.get("family"):
         m = payload.get("m")
         if isinstance(m, bool) or not isinstance(m, int):
-            raise ValueError(f"symbolic canonical family needs an integer field 'm', got {m!r}")
+            raise ValueError(
+                f"symbolic canonical family needs an integer field 'm', got {short_repr(m)}"
+            )
         return canonical_family(p, m)
     if "family" in payload:
-        raise ValueError(f"unknown symbolic family tag {payload['family']!r}")
+        raise ValueError(f"unknown symbolic family tag {short_repr(payload['family'])}")
     if "arcs" not in payload:
         raise ValueError("family object needs an 'arcs' array or a symbolic 'family' tag")
     arcs_field = payload["arcs"]
     if not isinstance(arcs_field, list):
-        raise ValueError(f"field 'arcs' must be an array, got {arcs_field!r}")
+        raise ValueError(f"field 'arcs' must be an array, got {short_repr(arcs_field)}")
     return ArcFamily(p, tuple(Arc.from_json(item) for item in arcs_field))
 
 
@@ -148,11 +149,7 @@ def _greedy_additions(f: ArcFamily, w: Window) -> Iterator[Arc]:
     preconditions (every member inside w, f non-crossing) are checked on
     the first step and raise ValueError.
     """
-    for a in f.arcs:
-        if not w.contains_arc(a):
-            raise ValueError(
-                f"arc ({a.t}, {a.u}) lies outside the window [{w.lo}, {w.hi}]"
-            )
+    require_inside(w, f.arcs)
     require_noncrossing(f)
     kept = list(f.arcs)
     for cand in enumerate_arcs(f.params, w):

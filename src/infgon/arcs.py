@@ -13,13 +13,20 @@ operation ever rounds or truncates.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+
+
+def short_repr(value: object) -> str:
+    """repr(value) for an error message, cut to 80 characters plus "..."."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "..."
 
 
 def _require_int(value: object, what: str) -> int:
     # bool is an int subclass; reject it so True never sneaks in as 1
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an exact integer, got {value!r}")
+        raise ValueError(f"{what} must be an exact integer, got {short_repr(value)}")
     return value
 
 
@@ -64,11 +71,8 @@ class Arc:
 
     @classmethod
     def from_json(cls, data: object) -> "Arc":
-        if (
-            not isinstance(data, (list, tuple))
-            or len(data) != 2
-        ):
-            raise ValueError(f"arc must be a two-element array [t, u], got {data!r}")
+        if not isinstance(data, (list, tuple)) or len(data) != 2:
+            raise ValueError(f"arc must be a two-element array [t, u], got {short_repr(data)}")
         return cls(_require_int(data[0], "arc endpoint t"), _require_int(data[1], "arc endpoint u"))
 
 
@@ -94,6 +98,13 @@ class Window:
 
     def contains_point(self, p: int) -> bool:
         return self.lo <= p <= self.hi
+
+
+def require_inside(w: Window, arcs: Iterable[Arc]) -> None:
+    """Raise ValueError naming the first arc that does not lie inside w."""
+    for a in arcs:
+        if not w.contains_arc(a):
+            raise ValueError(f"arc ({a.t}, {a.u}) lies outside the window [{w.lo}, {w.hi}]")
 
 
 def minimal_length(params: CategoryParams) -> int:

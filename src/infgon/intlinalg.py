@@ -21,7 +21,7 @@ input, which the rendering and CLI layers rely on.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 
@@ -54,7 +54,7 @@ class IntMatrix:
                     raise ValueError(f"matrix entries must be exact integers, got {x!r}")
 
     @classmethod
-    def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "IntMatrix":
+    def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
         if not rows:
             if cols is None:
                 raise ValueError("cannot infer column count of an empty matrix")
@@ -114,9 +114,6 @@ class IntMatrix:
                 a[i][col] = 0
             prev = a[col][col]
         return sign * a[k - 1][k - 1]
-
-    def to_json(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
 
 
 @dataclass(frozen=True)
@@ -285,7 +282,6 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 
         while True:
             # clear column k; a nonzero remainder becomes a smaller pivot
-            restart = False
             for i in range(k + 1, nrows):
                 x = d[i][k]
                 if x:
@@ -294,39 +290,29 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                         add_row(k, i, -q)
                     if d[i][k]:
                         swap_rows(k, i)  # remainder is in (0, pivot)
-                        restart = True
                         break
-            if restart:
-                continue
-            # clear row k; column k stays clear because only columns > k move
-            for j in range(k + 1, ncols):
-                x = d[k][j]
-                if x:
-                    q = x // d[k][k]
-                    if q:
-                        add_col(k, j, -q)
-                    if d[k][j]:
-                        swap_cols(k, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            # force the pivot to divide the rest of the block
-            pivot = d[k][k]
-            if pivot == 1:
-                break  # 1 divides everything
-            carrier = None
-            for i in range(k + 1, nrows):
-                drow = d[i]
+            else:
+                # clear row k; column k stays clear because only columns > k move
                 for j in range(k + 1, ncols):
-                    if drow[j] % pivot:
-                        carrier = i
+                    x = d[k][j]
+                    if x:
+                        q = x // d[k][k]
+                        if q:
+                            add_col(k, j, -q)
+                        if d[k][j]:
+                            swap_cols(k, j)
+                            break
+                else:
+                    # force the pivot to divide the rest of the block
+                    pivot = d[k][k]
+                    if pivot == 1:
+                        break  # 1 divides everything
+                    for i in range(k + 1, nrows):
+                        if any(x % pivot for x in d[i][k + 1:]):
+                            add_row(i, k, 1)  # d[i][k] == 0, pivot unchanged
+                            break
+                    else:
                         break
-                if carrier is not None:
-                    break
-            if carrier is None:
-                break
-            add_row(carrier, k, 1)  # d[carrier][k] == 0, pivot unchanged
 
     def freeze(rows: list, width: int) -> IntMatrix:
         # drop each working copy once it is copied, so at most one is doubled
@@ -354,13 +340,15 @@ class Cokernel:
     per invariant factor, reduced to [0, d)) and then the free components.
     Rows of the defining matrix project to zero exactly.  The image of
     generator j is row j of V read in those coordinates, which
-    `generator_classes` returns for every j at once.
+    `generator_classes` returns for every j at once.  Free coordinates are
+    oriented: in each, the first generator with a nonzero coordinate gets a
+    positive one.
     """
 
     generators: int
     invariant_factors: tuple[int, ...]
     free_rank: int
-    _v: IntMatrix
+    _v: tuple[tuple[int, ...], ...]
     _torsion_positions: tuple[int, ...]
     _rank: int
 
@@ -369,7 +357,7 @@ class Cokernel:
             raise ValueError(
                 f"vector has length {len(vector)}, expected {self.generators}"
             )
-        ev = self._v.entries
+        ev = self._v
         g = self.generators
 
         def coordinate(i: int) -> int:
@@ -388,21 +376,31 @@ class Cokernel:
         rank = self._rank
         return tuple(
             tuple(row[pos] % f for pos, f in torsion) + row[rank:]
-            for row in self._v.entries
+            for row in self._v
         )
 
 
 def cokernel(a: IntMatrix) -> Cokernel:
-    """Cokernel of the row span of `a` inside Z^cols, via Smith reduction."""
+    """Cokernel of the row span of `a` inside Z^cols, via Smith reduction.
+
+    Each free column of V (past the rank, where D's column is zero, so
+    U * A * V = D still holds) whose first nonzero entry is negative is
+    negated: the first generator with a nonzero free coordinate gets a
+    positive one.  V is invertible, so every column has a nonzero entry.
+    """
     snf = smith_normal_form(a)
     diag = snf.diagonal()
     rank = snf.rank
     torsion_positions = tuple(i for i, x in enumerate(diag) if x > 1)
+    v = snf.v.entries
+    signs = [-1 if next(row[c] for row in v if row[c]) < 0 else 1 for c in range(rank, a.cols)]
+    if -1 in signs:
+        v = tuple(row[:rank] + tuple(s * x for s, x in zip(signs, row[rank:])) for row in v)
     return Cokernel(
         generators=a.cols,
         invariant_factors=tuple(diag[i] for i in torsion_positions),
         free_rank=a.cols - rank,
-        _v=snf.v,
+        _v=v,
         _torsion_positions=torsion_positions,
         _rank=rank,
     )

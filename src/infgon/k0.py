@@ -16,7 +16,6 @@ for such input are labeled "upper-bound presentation" and never claim more.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .angulation import ArcFamily, canonical_family, require_noncrossing
 from .arcs import Arc, CategoryParams
@@ -30,9 +29,9 @@ class K0Basis:
 
     family: ArcFamily
 
-    @cached_property
+    @property
     def index(self) -> dict[Arc, int]:
-        return {a: i for i, a in enumerate(self.family.arcs)}
+        return self.family.index
 
     @property
     def size(self) -> int:
@@ -60,9 +59,6 @@ class RelationVector:
                 break
         return cls(coeffs)
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coefficients)
-
 
 def ar_relations(params: CategoryParams, basis: K0Basis) -> list[RelationVector]:
     """Relation vectors from almost-split triangles visible in the family.
@@ -77,42 +73,33 @@ def ar_relations(params: CategoryParams, basis: K0Basis) -> list[RelationVector]
 
     The start arc of the first shape and the end arc of the second need not
     belong to the family; they are spliced away and never appear in the
-    vector.  For odd n the two shapes can emit the same vector, so results
-    are deduplicated.  Order: all end-shape relations in generator order,
-    then all start-shape relations in generator order.
+    vector.  The middle is never empty and never holds the anchor arc, so
+    every vector has a +-1 entry and none is zero.  For odd n the two shapes
+    can emit the same vector, so results are deduplicated.  Order: all
+    end-shape relations in generator order, then all start-shape relations
+    in generator order.
     """
     g = basis.size
     index = basis.index
     diag = 1 + (-1) ** params.n  # 0 for odd n, 2 for even n
-    mid_sign = (-1) ** (params.n + 1)  # +1 for odd n, -1 for even n
-
+    shapes = (  # (middle of the triangle at the anchor arc, sign of its entries)
+        (lambda end: ar_triangle(params, end).middle, (-1) ** (params.n + 1)),
+        (lambda start: arrows_from(params, start), -1),
+    )
     out: list[RelationVector] = []
     seen: set[tuple[int, ...]] = set()
-
-    def emit(vec: list[int]) -> None:
-        rel = RelationVector.normalized(vec)
-        if not rel.is_zero() and rel.coefficients not in seen:
-            seen.add(rel.coefficients)
-            out.append(rel)
-
-    for j, end in enumerate(basis.family.arcs):
-        middle = ar_triangle(params, end).middle
-        if all(m in index for m in middle):
-            vec = [0] * g
-            vec[j] += diag
-            for m in middle:
-                vec[index[m]] += mid_sign
-            emit(vec)
-
-    for j, start in enumerate(basis.family.arcs):
-        middle = arrows_from(params, start)
-        if all(m in index for m in middle):
-            vec = [0] * g
-            vec[j] += diag
-            for m in middle:
-                vec[index[m]] -= 1
-            emit(vec)
-
+    for middle_of, sign in shapes:
+        for j, anchor in enumerate(basis.family.arcs):
+            middle = middle_of(anchor)
+            if all(m in index for m in middle):
+                vec = [0] * g
+                vec[j] = diag
+                for m in middle:
+                    vec[index[m]] += sign
+                rel = RelationVector.normalized(vec)
+                if rel.coefficients not in seen:
+                    seen.add(rel.coefficients)
+                    out.append(rel)
     return out
 
 
@@ -126,18 +113,13 @@ class K0Presentation:
     free_rank: int
     classes: tuple[tuple[int, ...], ...]
     _cokernel: Cokernel = field(repr=False)
-    _free_signs: tuple[int, ...] = field(repr=False)
 
     def class_of(self, a: Arc) -> tuple[int, ...]:
         return self.classes[self.basis.index[a]]
 
     def project(self, coefficients: list[int] | tuple[int, ...]) -> tuple[int, ...]:
-        """Image of an arbitrary integer vector, in the oriented basis."""
-        raw = self._cokernel.project(coefficients)
-        torsion = len(self.invariant_factors)
-        return raw[:torsion] + tuple(
-            s * x for s, x in zip(self._free_signs, raw[torsion:])
-        )
+        """Image of an arbitrary integer vector, in the coordinates of `classes`."""
+        return self._cokernel.project(coefficients)
 
     def to_json_dict(self, truncation: int | None = None) -> dict:
         classes = {}
@@ -159,9 +141,7 @@ def k0_presentation(params: CategoryParams, family: ArcFamily) -> K0Presentation
 
     Raises ValueError when the family crosses itself (the construction is
     only meaningful on non-crossing input).  The class map sends every
-    relation vector to zero exactly; its free coordinates are oriented so
-    that the first generator carrying a nonzero coordinate gets a positive
-    one, which pins the sign convention for canonical families.
+    relation vector to zero exactly.
     """
     if params != family.params:
         raise ValueError(
@@ -170,35 +150,15 @@ def k0_presentation(params: CategoryParams, family: ArcFamily) -> K0Presentation
     require_noncrossing(family)
     basis = K0Basis(family)
     relations = ar_relations(params, basis)
-    matrix = IntMatrix.from_rows(
-        [list(r.coefficients) for r in relations], cols=basis.size
-    )
+    matrix = IntMatrix.from_rows([r.coefficients for r in relations], cols=basis.size)
     coker = cokernel(matrix)
-
-    raw_classes = coker.generator_classes()
-    torsion = len(coker.invariant_factors)
-    signs = []
-    for slot in range(coker.free_rank):
-        sign = 1
-        for coords in raw_classes:
-            x = coords[torsion + slot]
-            if x:
-                sign = 1 if x > 0 else -1
-                break
-        signs.append(sign)
-    classes = tuple(
-        coords[:torsion]
-        + tuple(s * x for s, x in zip(signs, coords[torsion:]))
-        for coords in raw_classes
-    )
     return K0Presentation(
         basis=basis,
         relations=tuple(relations),
         invariant_factors=coker.invariant_factors,
         free_rank=coker.free_rank,
-        classes=classes,
+        classes=coker.generator_classes(),
         _cokernel=coker,
-        _free_signs=tuple(signs),
     )
 
 

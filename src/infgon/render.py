@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .angulation import ArcFamily
-from .arcs import Arc, Window
+from .arcs import Arc, Window, require_inside
 from .quiver import QuiverWindow, row_index
 
 _STYLE = (
@@ -76,11 +76,7 @@ def arc_diagram_svg(f: ArcFamily, w: Window, opts: RenderOptions = RenderOptions
     continuation stubs at both ends; each arc is a single semicircular path
     whose height grows with u - t.  Arcs must lie inside the window.
     """
-    for a in f.arcs:
-        if not w.contains_arc(a):
-            raise ValueError(
-                f"arc ({a.t}, {a.u}) lies outside the window [{w.lo}, {w.hi}]"
-            )
+    require_inside(w, f.arcs)
     highlight = set(opts.highlight)
     inner = opts.width - 2 * opts.margin
     step = inner / w.span

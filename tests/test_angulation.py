@@ -36,6 +36,13 @@ def test_family_coerces_and_preserves_order():
     assert Arc(4, 8) not in f
 
 
+def test_family_index_is_member_position():
+    f = fam(3, [(1, 5), (-2, 5), (-5, 5)])
+    assert f.index == {Arc(1, 5): 0, Arc(-2, 5): 1, Arc(-5, 5): 2}
+    for i, a in enumerate(f):
+        assert f.index[a] == i
+
+
 def test_family_rejects_inadmissible_member():
     with pytest.raises(ValueError, match="not 3-admissible"):
         fam(3, [(1, 5), (1, 4)])

@@ -94,6 +94,23 @@ def test_deeply_nested_json_is_an_input_error(capsys, monkeypatch, tmp_path, cha
     assert err == "error: input JSON is nested too deeply\n"
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        json.dumps([[1] + [3] * 20000]),
+        json.dumps({"n": "x" * 50000, "arcs": []}),
+    ],
+    ids=["long-arc", "long-n"],
+)
+def test_huge_bad_value_is_not_echoed_whole(capsys, payload):
+    code, out, err = run(capsys, "arcs", "validate", "-n", "1", "--json", payload)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.endswith("...\n")
+    assert err.count("\n") == 1
+    assert len(err) < 200
+
+
 # ---------------------------------------------------------- arcs enumerate
 
 

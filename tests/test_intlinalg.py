@@ -53,12 +53,6 @@ def test_determinant():
         IntMatrix.from_rows([[1, 2, 3]]).determinant()
 
 
-def test_json_round_trip():
-    a = IntMatrix.from_rows([[1, -2], [0, 7]])
-    assert a.to_json() == [[1, -2], [0, 7]]
-    assert IntMatrix.from_rows(a.to_json()) == a
-
-
 # ------------------------------------------------------ smith_normal_form
 
 
@@ -249,6 +243,17 @@ def test_generator_classes_are_projected_unit_vectors(a):
     c = cokernel(a)
     units = [tuple(int(i == j) for i in range(a.cols)) for j in range(a.cols)]
     assert c.generator_classes() == tuple(c.project(e) for e in units)
+
+
+@given(small_matrix())
+@settings(max_examples=200, deadline=None)
+def test_free_coordinates_are_oriented(a):
+    c = cokernel(a)
+    torsion = len(c.invariant_factors)
+    classes = c.generator_classes()
+    for slot in range(torsion, torsion + c.free_rank):
+        first = next(coords[slot] for coords in classes if coords[slot])
+        assert first > 0
 
 
 @given(small_matrix())

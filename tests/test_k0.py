@@ -32,7 +32,7 @@ def test_normalized_flips_leading_negative():
     assert RelationVector.normalized([0, -2, 1]).coefficients == (0, 2, -1)
     assert RelationVector.normalized([0, 2, -1]).coefficients == (0, 2, -1)
     assert RelationVector.normalized([0, 0]).coefficients == (0, 0)
-    assert RelationVector.normalized([]).is_zero()
+    assert RelationVector.normalized([]).coefficients == ()
 
 
 # ------------------------------------------------------------ ar_relations
@@ -56,6 +56,11 @@ def test_relations_n2_m3_frozen():
     assert [r.coefficients for r in rels] == [(2, -1, 0), (1, -2, 1)]
 
 
+def test_basis_index_is_the_family_index():
+    _, f = canon(3, 6)
+    assert K0Basis(f).index is f.index
+
+
 def test_relations_singleton_family():
     p, f = canon(3, 1)
     assert ar_relations(p, K0Basis(f)) == []
@@ -68,7 +73,7 @@ def test_relations_are_normalized_nonzero_distinct(n, m):
     rels = ar_relations(p, K0Basis(f))
     seen = set()
     for r in rels:
-        assert not r.is_zero()
+        assert any(r.coefficients)
         lead = next(x for x in r.coefficients if x != 0)
         assert lead > 0
         assert r.coefficients not in seen
