@@ -20,6 +20,7 @@ from .arcs import (
     Arc,
     CategoryParams,
     Window,
+    arc_text,
     crosses,
     enumerate_arcs,
     require_admissible,
@@ -50,7 +51,7 @@ class ArcFamily:
         for i, a in enumerate(self.arcs):
             require_admissible(self.params, a)
             if index.setdefault(a, i) != i:
-                raise ValueError(f"duplicate arc ({a.t}, {a.u}) in family")
+                raise ValueError(f"duplicate arc {arc_text(a)} in family")
         object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
@@ -136,9 +137,7 @@ def require_noncrossing(f: ArcFamily) -> None:
     pair = validate_noncrossing(f)
     if pair is not None:
         (a, b) = pair
-        raise ValueError(
-            f"family is not non-crossing: ({a.t}, {a.u}) crosses ({b.t}, {b.u})"
-        )
+        raise ValueError(f"family is not non-crossing: {arc_text(a)} crosses {arc_text(b)}")
 
 
 def _greedy_additions(f: ArcFamily, w: Window) -> Iterator[Arc]:

@@ -23,6 +23,11 @@ def short_repr(value: object) -> str:
     return text if len(text) <= 80 else text[:80] + "..."
 
 
+def arc_text(a: Arc) -> str:
+    """"(t, u)" for an error message, each endpoint through `short_repr`."""
+    return f"({short_repr(a.t)}, {short_repr(a.u)})"
+
+
 def _require_int(value: object, what: str) -> int:
     # bool is an int subclass; reject it so True never sneaks in as 1
     if isinstance(value, bool) or not isinstance(value, int):
@@ -39,7 +44,7 @@ class CategoryParams:
     def __post_init__(self) -> None:
         _require_int(self.n, "parameter n")
         if self.n < 1:
-            raise ValueError(f"parameter n must be >= 1, got {self.n}")
+            raise ValueError(f"parameter n must be >= 1, got {short_repr(self.n)}")
 
 
 @dataclass(frozen=True, order=True)
@@ -58,9 +63,7 @@ class Arc:
         _require_int(self.t, "arc endpoint t")
         _require_int(self.u, "arc endpoint u")
         if self.t >= self.u:
-            raise ValueError(
-                f"arc ({self.t}, {self.u}): endpoints must satisfy t < u"
-            )
+            raise ValueError(f"arc {arc_text(self)}: endpoints must satisfy t < u")
 
     @property
     def length(self) -> int:
@@ -87,7 +90,9 @@ class Window:
         _require_int(self.lo, "window lo")
         _require_int(self.hi, "window hi")
         if self.lo >= self.hi:
-            raise ValueError(f"window [{self.lo}, {self.hi}]: bounds must satisfy lo < hi")
+            raise ValueError(
+                f"window [{short_repr(self.lo)}, {short_repr(self.hi)}]: bounds must satisfy lo < hi"
+            )
 
     @property
     def span(self) -> int:
@@ -104,7 +109,10 @@ def require_inside(w: Window, arcs: Iterable[Arc]) -> None:
     """Raise ValueError naming the first arc that does not lie inside w."""
     for a in arcs:
         if not w.contains_arc(a):
-            raise ValueError(f"arc ({a.t}, {a.u}) lies outside the window [{w.lo}, {w.hi}]")
+            raise ValueError(
+                f"arc {arc_text(a)} lies outside the window "
+                f"[{short_repr(w.lo)}, {short_repr(w.hi)}]"
+            )
 
 
 def minimal_length(params: CategoryParams) -> int:
@@ -119,16 +127,13 @@ def is_admissible(params: CategoryParams, a: Arc) -> bool:
 
 def require_admissible(params: CategoryParams, a: Arc) -> Arc:
     """Return the arc unchanged, or raise ValueError naming the defect."""
-    if a.length < 2:
-        raise ValueError(
-            f"arc ({a.t}, {a.u}) is not {params.n}-admissible: length {a.length} is shorter than 2"
-        )
-    if (a.length - 1) % params.n != 0:
-        raise ValueError(
-            f"arc ({a.t}, {a.u}) is not {params.n}-admissible: "
-            f"length {a.length} is not congruent to 1 modulo {params.n}"
-        )
-    return a
+    if is_admissible(params, a):
+        return a
+    n = short_repr(params.n)
+    defect = "is shorter than 2" if a.length < 2 else f"is not congruent to 1 modulo {n}"
+    raise ValueError(
+        f"arc {arc_text(a)} is not {n}-admissible: length {short_repr(a.length)} {defect}"
+    )
 
 
 def suspend(params: CategoryParams, a: Arc, k: int = 1) -> Arc:

@@ -165,40 +165,24 @@ def _cmd_quiver_window(args: argparse.Namespace) -> int:
 def _cmd_angulation_check(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     window = _window_from_args(args, family)
-    report: dict[str, object] = {
+    pair = validate_noncrossing(family)
+    witness = None if pair else is_maximal_in_window(family, window)
+    passed = pair is None and witness is None
+    report = {
         "n": family.params.n,
         "window": [window.lo, window.hi],
         "certificate": "window-local",
+        "noncrossing": pair is None,
+        "crossing_pair": [pair[0].to_json(), pair[1].to_json()] if pair else None,
+        "window_maximal": None if pair else witness is None,
+        "witness": witness.to_json() if witness else None,
     }
-    pair = validate_noncrossing(family)
-    if pair is not None:
-        report.update(
-            {
-                "noncrossing": False,
-                "crossing_pair": [pair[0].to_json(), pair[1].to_json()],
-                "window_maximal": None,
-                "witness": None,
-            }
-        )
-        passed = False
-    else:
-        witness = is_maximal_in_window(family, window)
-        report.update(
-            {
-                "noncrossing": True,
-                "crossing_pair": None,
-                "window_maximal": witness is None,
-                "witness": None if witness is None else witness.to_json(),
-            }
-        )
-        passed = witness is None
     if args.format == "text":
         lines = [f"window-local certificate over [{window.lo}, {window.hi}]"]
-        if pair is not None:
+        if pair:
             lines.append(f"crossing: ({pair[0].t}, {pair[0].u}) x ({pair[1].t}, {pair[1].u})")
-        elif not passed:
-            w = report["witness"]
-            lines.append(f"not maximal: arc ({w[0]}, {w[1]}) can be added")  # type: ignore[index]
+        elif witness:
+            lines.append(f"not maximal: arc ({witness.t}, {witness.u}) can be added")
         lines.append(f"result: {_colored(args, passed)}")
         _emit(args, "\n".join(lines) + "\n")
     else:
@@ -232,20 +216,14 @@ def _cmd_family_canonical(args: argparse.Namespace) -> int:
 def _cmd_k0_present(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     pres = k0_presentation(family.params, family)
-    # the family itself decides, so every input channel gets the same label
-    m = len(family)
-    truncation = m if m and family == canonical_family(family.params, m) else None
-    report = pres.to_json_dict(truncation=truncation)
-    report["label"] = (
-        "canonical truncation" if truncation is not None else "upper-bound presentation"
-    )
+    report = pres.to_json_dict()
     if args.format == "text":
         lines = [
             f"generators={report['generators']} relations_used={report['relations_used']}",
             f"free_rank={report['free_rank']} torsion={report['invariant_factors']}",
             f"label: {report['label']}",
         ]
-        for a, coords in zip(pres.basis.family.arcs, pres.classes):
+        for a, coords in zip(family.arcs, pres.classes):
             lines.append(f"class ({a.t}, {a.u}) -> {list(coords)}")
         _emit(args, "\n".join(lines) + "\n")
     else:

@@ -336,71 +336,49 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 class Cokernel:
     """The quotient of Z^g by the row span of a relation matrix.
 
-    Coordinates produced by `project` list the torsion components first (one
-    per invariant factor, reduced to [0, d)) and then the free components.
-    Rows of the defining matrix project to zero exactly.  The image of
-    generator j is row j of V read in those coordinates, which
-    `generator_classes` returns for every j at once.  Free coordinates are
-    oriented: in each, the first generator with a nonzero coordinate gets a
-    positive one.
+    `classes[j]` is the image of generator j: its torsion components first
+    (one per invariant factor, reduced to [0, d)), then its free components.
+    `project` extends this map linearly, so rows of the defining matrix
+    project to zero exactly.  Free coordinates are oriented: in each, the
+    first generator with a nonzero coordinate gets a positive one.
     """
 
     generators: int
     invariant_factors: tuple[int, ...]
     free_rank: int
-    _v: tuple[tuple[int, ...], ...]
-    _torsion_positions: tuple[int, ...]
-    _rank: int
+    classes: tuple[tuple[int, ...], ...]
 
     def project(self, vector: list[int] | tuple[int, ...]) -> tuple[int, ...]:
         if len(vector) != self.generators:
             raise ValueError(
                 f"vector has length {len(vector)}, expected {self.generators}"
             )
-        ev = self._v
-        g = self.generators
-
-        def coordinate(i: int) -> int:
-            return sum(ev[j][i] * vector[j] for j in range(g))
-
+        factors = self.invariant_factors
         coords = [
-            coordinate(pos) % self.invariant_factors[idx]
-            for idx, pos in enumerate(self._torsion_positions)
+            sum(x * c[k] for x, c in zip(vector, self.classes))
+            for k in range(len(factors) + self.free_rank)
         ]
-        coords.extend(coordinate(i) for i in range(self._rank, g))
-        return tuple(coords)
-
-    def generator_classes(self) -> tuple[tuple[int, ...], ...]:
-        """`project` of every unit vector, read off the rows of V."""
-        torsion = tuple(zip(self._torsion_positions, self.invariant_factors))
-        rank = self._rank
-        return tuple(
-            tuple(row[pos] % f for pos, f in torsion) + row[rank:]
-            for row in self._v
-        )
+        return tuple(s % f for s, f in zip(coords, factors)) + tuple(coords[len(factors):])
 
 
 def cokernel(a: IntMatrix) -> Cokernel:
     """Cokernel of the row span of `a` inside Z^cols, via Smith reduction.
 
-    Each free column of V (past the rank, where D's column is zero, so
-    U * A * V = D still holds) whose first nonzero entry is negative is
-    negated: the first generator with a nonzero free coordinate gets a
-    positive one.  V is invertible, so every column has a nonzero entry.
+    The class of generator j is row j of V, read at the torsion positions
+    and then past the rank.  A free column of V is negated where the
+    orientation of `Cokernel` needs it; D's column there is zero, so
+    U * A * V = D still holds.  V is invertible, so every column has a
+    nonzero entry.
     """
     snf = smith_normal_form(a)
-    diag = snf.diagonal()
     rank = snf.rank
-    torsion_positions = tuple(i for i, x in enumerate(diag) if x > 1)
+    torsion = [(i, x) for i, x in enumerate(snf.diagonal()) if x > 1]
     v = snf.v.entries
     signs = [-1 if next(row[c] for row in v if row[c]) < 0 else 1 for c in range(rank, a.cols)]
-    if -1 in signs:
-        v = tuple(row[:rank] + tuple(s * x for s, x in zip(signs, row[rank:])) for row in v)
-    return Cokernel(
-        generators=a.cols,
-        invariant_factors=tuple(diag[i] for i in torsion_positions),
-        free_rank=a.cols - rank,
-        _v=v,
-        _torsion_positions=torsion_positions,
-        _rank=rank,
+    flip = -1 in signs
+    classes = tuple(
+        tuple(row[i] % x for i, x in torsion)
+        + (tuple(s * y for s, y in zip(signs, row[rank:])) if flip else row[rank:])
+        for row in v
     )
+    return Cokernel(a.cols, tuple(x for _, x in torsion), a.cols - rank, classes)

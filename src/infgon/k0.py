@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .angulation import ArcFamily, canonical_family, require_noncrossing
 from .arcs import Arc, CategoryParams
-from .intlinalg import Cokernel, IntMatrix, cokernel
+from .intlinalg import IntMatrix, cokernel
 from .quiver import ar_triangle, arrows_from
 
 
@@ -103,6 +103,10 @@ def ar_relations(params: CategoryParams, basis: K0Basis) -> list[RelationVector]
     return out
 
 
+def _classes_json(arcs: tuple[Arc, ...], classes: tuple[tuple[int, ...], ...]) -> dict:
+    return {f"[{a.t},{a.u}]": list(c) for a, c in zip(arcs, classes)}
+
+
 @dataclass(frozen=True)
 class K0Presentation:
     """The reduced quotient of the split group by the visible relations."""
@@ -112,27 +116,21 @@ class K0Presentation:
     invariant_factors: tuple[int, ...]
     free_rank: int
     classes: tuple[tuple[int, ...], ...]
-    _cokernel: Cokernel = field(repr=False)
 
-    def class_of(self, a: Arc) -> tuple[int, ...]:
-        return self.classes[self.basis.index[a]]
-
-    def project(self, coefficients: list[int] | tuple[int, ...]) -> tuple[int, ...]:
-        """Image of an arbitrary integer vector, in the coordinates of `classes`."""
-        return self._cokernel.project(coefficients)
-
-    def to_json_dict(self, truncation: int | None = None) -> dict:
-        classes = {}
-        for a, coords in zip(self.basis.family.arcs, self.classes):
-            classes[f"[{a.t},{a.u}]"] = list(coords)
+    def to_json_dict(self) -> dict:
+        family = self.basis.family
+        m = len(family)
+        # the family itself decides, so every input channel gets the same label
+        truncation = m if m and family == canonical_family(family.params, m) else None
         return {
-            "n": self.basis.family.params.n,
-            "generators": self.basis.size,
+            "n": family.params.n,
+            "generators": m,
             "invariant_factors": list(self.invariant_factors),
             "free_rank": self.free_rank,
-            "classes": classes,
+            "classes": _classes_json(family.arcs, self.classes),
             "relations_used": len(self.relations),
             "truncation": truncation,
+            "label": "upper-bound presentation" if truncation is None else "canonical truncation",
         }
 
 
@@ -157,8 +155,7 @@ def k0_presentation(params: CategoryParams, family: ArcFamily) -> K0Presentation
         relations=tuple(relations),
         invariant_factors=coker.invariant_factors,
         free_rank=coker.free_rank,
-        classes=coker.generator_classes(),
-        _cokernel=coker,
+        classes=coker.classes,
     )
 
 
@@ -196,9 +193,7 @@ class TheoremReport:
             "passed": self.passed,
             "free_rank": self.free_rank,
             "invariant_factors": list(self.invariant_factors),
-            "classes": {
-                f"[{a.t},{a.u}]": list(c) for a, c in zip(self.arcs, self.classes)
-            },
+            "classes": _classes_json(self.arcs, self.classes),
             "relations_used": self.relations_used,
             "first_violation": self.first_violation,
         }

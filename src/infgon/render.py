@@ -19,6 +19,8 @@ from .angulation import ArcFamily
 from .arcs import Arc, Window, require_inside
 from .quiver import QuiverWindow, row_index
 
+_MARGIN = 36  # blank border on every side of the canvas
+
 _STYLE = (
     ".baseline{stroke:#444;stroke-width:1.5;fill:none}"
     ".baseline-ext{stroke:#444;stroke-width:1.5;stroke-dasharray:4 4;fill:none}"
@@ -39,16 +41,13 @@ class RenderOptions:
 
     width: int = 900
     height: int = 360
-    margin: int = 36
     labels: bool = True
     highlight: tuple[Arc, ...] = ()
 
     def __post_init__(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("canvas dimensions must be positive")
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
-        if 2 * self.margin >= self.width or 2 * self.margin >= self.height:
+        if 2 * _MARGIN >= self.width or 2 * _MARGIN >= self.height:
             raise ValueError("margin leaves no drawing area")
         object.__setattr__(self, "highlight", tuple(self.highlight))
 
@@ -78,20 +77,20 @@ def arc_diagram_svg(f: ArcFamily, w: Window, opts: RenderOptions = RenderOptions
     """
     require_inside(w, f.arcs)
     highlight = set(opts.highlight)
-    inner = opts.width - 2 * opts.margin
+    inner = opts.width - 2 * _MARGIN
     step = inner / w.span
-    base_y = opts.height - opts.margin - 18
+    base_y = opts.height - _MARGIN - 18
 
     def x_of(p: int) -> float:
-        return opts.margin + (p - w.lo) * step
+        return _MARGIN + (p - w.lo) * step
 
     # tallest arc caps the height scale; default keeps flat families shallow
     max_len = max((a.length for a in f.arcs), default=w.span)
-    usable = base_y - opts.margin
+    usable = base_y - _MARGIN
     unit = usable / max_len
 
     parts = _svg_open(opts)
-    stub = min(step * 0.75, opts.margin * 0.8)
+    stub = min(step * 0.75, _MARGIN * 0.8)
     parts.append(
         f'<line class="baseline" x1="{_fmt(x_of(w.lo))}" y1="{_fmt(base_y)}" '
         f'x2="{_fmt(x_of(w.hi))}" y2="{_fmt(base_y)}"/>'
@@ -142,14 +141,14 @@ def quiver_svg(qw: QuiverWindow, opts: RenderOptions = RenderOptions()) -> str:
     rows = [row_index(params, a) for a in qw.nodes]
     x_lo, x_hi = min(xs), max(xs)
     r_lo, r_hi = min(rows), max(rows)
-    inner_w = opts.width - 2 * opts.margin
-    inner_h = opts.height - 2 * opts.margin
+    inner_w = opts.width - 2 * _MARGIN
+    inner_h = opts.height - 2 * _MARGIN
     sx = inner_w / max(x_hi - x_lo, 1)
     sy = inner_h / max(r_hi - r_lo, 1)
 
     def pos(a: Arc) -> tuple[float, float]:
-        x = opts.margin + (a.t + a.u - x_lo) * sx
-        y = opts.margin + (r_hi - row_index(params, a)) * sy
+        x = _MARGIN + (a.t + a.u - x_lo) * sx
+        y = _MARGIN + (r_hi - row_index(params, a)) * sy
         return x, y
 
     parts = _svg_open(opts)

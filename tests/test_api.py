@@ -6,7 +6,15 @@ import sys
 from pathlib import Path
 
 import infgon
-from infgon import IntMatrix, RelationVector, SnfResult, angulation
+from infgon import (
+    Cokernel,
+    IntMatrix,
+    K0Presentation,
+    RelationVector,
+    RenderOptions,
+    SnfResult,
+    angulation,
+)
 
 
 def test_every_export_resolves():
@@ -25,6 +33,10 @@ def test_removed_names_are_gone():
     assert not hasattr(RelationVector, "evaluate")
     assert not hasattr(IntMatrix, "to_json")
     assert not hasattr(RelationVector, "is_zero")
+    assert not hasattr(Cokernel, "generator_classes")
+    assert not hasattr(K0Presentation, "project")
+    assert not hasattr(K0Presentation, "class_of")
+    assert not hasattr(RenderOptions, "margin")
 
 
 def test_runtime_imports_are_stdlib_only():

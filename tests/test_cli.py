@@ -111,6 +111,29 @@ def test_huge_bad_value_is_not_echoed_whole(capsys, payload):
     assert len(err) < 200
 
 
+HUGE = "1" + "0" * 4200  # just under the 4300-digit limit of int() and json
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("arcs", "validate", "-n", "2", "--json", f"[[0, {HUGE}]]"),
+        ("arcs", "validate", "-n", "2", "--json", f"[[{HUGE}, 0]]"),
+        ("arcs", "enumerate", "-n", "2", "--window", HUGE, "0"),
+    ],
+    ids=["inadmissible", "unordered", "window"],
+)
+def test_huge_endpoint_is_not_echoed_whole(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    # each value is cut to 80 characters; the inadmissible arc's message
+    # carries two of them (an endpoint and the length) and runs to 243
+    assert len(err) < 250
+    assert HUGE[:81] not in err
+
+
 # ---------------------------------------------------------- arcs enumerate
 
 
@@ -214,6 +237,21 @@ def test_check_text_verdict(capsys, monkeypatch):
     assert code == 1
     assert "not maximal: arc (0, 3) can be added" in out
     assert "result: FAIL" in out
+
+
+def test_check_text_names_the_crossing_pair(capsys, monkeypatch):
+    monkeypatch.setenv("NO_COLOR", "1")
+    code, out, err = run(
+        capsys, "angulation", "check", "-n", "3", "--json", "[[3,7],[1,5]]",
+        "--window", "0", "8", "--format", "text",
+    )
+    assert code == 1
+    assert err == ""
+    assert out == (
+        "window-local certificate over [0, 8]\n"
+        "crossing: (1, 5) x (3, 7)\n"
+        "result: FAIL\n"
+    )
 
 
 # ----------------------------------------------------- angulation complete

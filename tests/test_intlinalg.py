@@ -242,7 +242,7 @@ def test_project_validates_length():
 def test_generator_classes_are_projected_unit_vectors(a):
     c = cokernel(a)
     units = [tuple(int(i == j) for i in range(a.cols)) for j in range(a.cols)]
-    assert c.generator_classes() == tuple(c.project(e) for e in units)
+    assert c.classes == tuple(c.project(e) for e in units)
 
 
 @given(small_matrix())
@@ -250,10 +250,27 @@ def test_generator_classes_are_projected_unit_vectors(a):
 def test_free_coordinates_are_oriented(a):
     c = cokernel(a)
     torsion = len(c.invariant_factors)
-    classes = c.generator_classes()
+    classes = c.classes
     for slot in range(torsion, torsion + c.free_rank):
         first = next(coords[slot] for coords in classes if coords[slot])
         assert first > 0
+
+
+@given(small_matrix())
+@settings(max_examples=200, deadline=None)
+def test_class_map_is_onto(a):
+    # row p of V^-1 maps to the unit vector of the slot that position p feeds
+    snf = smith_normal_form(a)
+    c = cokernel(a)
+    torsion = [p for p, x in enumerate(snf.diagonal()) if x > 1]
+    positions = torsion + list(range(snf.rank, a.cols))
+    for k, p in enumerate(positions):
+        unit = tuple(int(i == k) for i in range(len(positions)))
+        got = c.project(snf.v_inv.entries[p])
+        if k < len(torsion):
+            assert got == unit
+        else:  # orientation may negate a free coordinate
+            assert got in (unit, tuple(-x for x in unit))
 
 
 @given(small_matrix())

@@ -99,7 +99,7 @@ def test_presentation_even_n_counts_up():
     assert pres.free_rank == 1
     assert pres.invariant_factors == ()
     assert pres.classes == ((1,), (2,), (3,), (4,), (5,), (6,))
-    assert pres.class_of(Arc(-3, 6)) == (4,)
+    assert pres.classes[f.index[Arc(-3, 6)]] == (4,)
 
 
 def test_presentation_odd_n_alternates():
@@ -116,6 +116,7 @@ def test_presentation_without_relations_is_free_on_generators():
     assert pres.relations == ()
     assert pres.free_rank == 2
     assert pres.classes == ((1, 0), (0, 1))
+    assert pres.to_json_dict()["label"] == "upper-bound presentation"
 
 
 def test_presentation_orientation_is_stable():
@@ -127,9 +128,14 @@ def test_presentation_orientation_is_stable():
 def test_relations_project_to_zero():
     p, f = canon(4, 10)
     pres = k0_presentation(p, f)
-    zero = (0,) * (pres.free_rank + len(pres.invariant_factors))
+    factors = pres.invariant_factors
+    width = len(factors) + pres.free_rank
     for r in pres.relations:
-        assert pres.project(r.coefficients) == zero
+        image = [
+            sum(x * c[k] for x, c in zip(r.coefficients, pres.classes, strict=True))
+            for k in range(width)
+        ]
+        assert [s % f for s, f in zip(image, factors)] + image[len(factors):] == [0] * width
 
 
 def test_presentation_rejects_crossing_family():
@@ -145,15 +151,9 @@ def test_presentation_rejects_params_mismatch():
         k0_presentation(CategoryParams(2), f)
 
 
-def test_class_of_unknown_arc():
-    p, f = canon(2, 3)
-    with pytest.raises(KeyError):
-        k0_presentation(p, f).class_of(Arc(50, 54))
-
-
 def test_presentation_json_shape():
     p, f = canon(3, 2)
-    out = k0_presentation(p, f).to_json_dict(truncation=2)
+    out = k0_presentation(p, f).to_json_dict()
     assert out["n"] == 3
     assert out["generators"] == 2
     assert out["invariant_factors"] == []
@@ -161,6 +161,7 @@ def test_presentation_json_shape():
     assert out["classes"] == {"[1,5]": [1], "[-2,5]": [0]}
     assert out["relations_used"] == 1
     assert out["truncation"] == 2
+    assert out["label"] == "canonical truncation"
 
 
 # ------------------------------------------------------- expected classes

@@ -157,8 +157,6 @@ def test_quiver_svg_single_node_degenerate_scale():
 def test_render_options_validation():
     with pytest.raises(ValueError):
         RenderOptions(width=0)
-    with pytest.raises(ValueError):
-        RenderOptions(margin=-1)
-    with pytest.raises(ValueError):
-        RenderOptions(width=100, height=100, margin=50)
+    with pytest.raises(ValueError, match="margin leaves no drawing area"):
+        RenderOptions(width=60)
     assert RenderOptions(highlight=[Arc(1, 3)]).highlight == (Arc(1, 3),)
