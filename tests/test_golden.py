@@ -57,6 +57,31 @@ CASES = [
     ("help-render", ["render", "--help"]),
     ("help-render-arcs", ["render", "arcs", "--help"]),
     ("help-render-quiver", ["render", "quiver", "--help"]),
+    # --format text of every command that has it, checks passing and failing
+    ("text-arcs-validate",
+     ["arcs", "validate", "-n", "3", "--json", "[[1,5],[-2,5]]", "--format", "text"]),
+    ("text-arcs-enumerate",
+     ["arcs", "enumerate", "-n", "1", "--window", "0", "3", "--format", "text"]),
+    ("text-quiver-window", ["quiver", "window", *QUIVER_N3, "--format", "text"]),
+    ("text-angulation-check-pass",
+     ["angulation", "check", "-n", "3", "--json", "[[1,5]]", "--window", "0", "5",
+      "--format", "text"]),
+    ("text-angulation-check-crossing",
+     ["angulation", "check", "-n", "3", "--json", "[[3,7],[1,5]]", "--window", "0", "8",
+      "--format", "text"]),
+    ("text-angulation-check-not-maximal",
+     ["angulation", "check", "-n", "1", "--json", "[[1,3]]", "--window", "0", "4",
+      "--format", "text"]),
+    ("text-angulation-complete",
+     ["angulation", "complete", "-n", "1", "--json", "[]", "--window", "0", "3",
+      "--format", "text"]),
+    ("text-family-canonical", ["family", "canonical", "-n", "3", "--m", "4", "--format", "text"]),
+    ("text-k0-present-canonical",
+     ["k0", "present", "-n", "2", "--canonical", "6", "--format", "text"]),
+    ("text-k0-present-upper-bound",
+     ["k0", "present", "--json", '{"n": 3, "arcs": [[1,5],[100,104]]}', "--format", "text"]),
+    ("text-output-file",
+     ["k0", "verify", "-n", "2", "--m", "4", "--format", "text", "-o", "out.txt"]),
     # argparse usage errors
     ("usage-no-group", []),
     ("usage-no-command", ["k0"]),
