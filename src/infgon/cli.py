@@ -1,7 +1,10 @@
 """Command-line interface.
 
-Every subcommand wraps one library call: read JSON (inline, file, or
-stdin), run the operation, write JSON, a text summary, or SVG.  Exit codes
+Every subcommand wraps one library call.  The commands that take a family
+(`arcs validate`, `angulation`, `k0 present`, `render arcs`) read it as JSON
+(inline, file, or stdin); the others take flags only.  `render` writes SVG;
+every other command hands its report to `_report`, the one writer of JSON
+(the default) or text, of the PASS/FAIL line and of the exit code.  Exit codes
 are 0 for success or a passing check, 1 for a mathematical failure (a
 verification or certificate that comes back negative), and 2 for input
 errors.  Identical invocations produce byte-identical output.  NO_COLOR
@@ -15,6 +18,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 
 from .angulation import (
@@ -79,10 +84,10 @@ def _family_from_args(args: argparse.Namespace) -> ArcFamily:
     return parse_family(_payload(args), params)
 
 
-def _window_from_args(args: argparse.Namespace, family: ArcFamily | None = None) -> Window:
+def _window_from_args(args: argparse.Namespace, family: ArcFamily) -> Window:
     if args.window is not None:
         return Window(args.window[0], args.window[1])
-    if family is None or not family.arcs:
+    if not family.arcs:
         raise ValueError("an explicit --window LO HI is required for this input")
     return Window(min(a.t for a in family.arcs), max(a.u for a in family.arcs))
 
@@ -94,54 +99,54 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(args: argparse.Namespace, obj: object) -> None:
-    _emit(args, json.dumps(obj, indent=2) + "\n")
+def _report(
+    args: argparse.Namespace, obj: object, lines: Iterable[str], verdict: bool | None = None
+) -> int:
+    """Write a command's report and return its exit code.
+
+    `--format json` writes `obj`; `--format text` writes `lines`, which are
+    only formatted then.  A check passes its `verdict`: the text ends in a
+    result line, and a failed check exits 1.
+    """
+    if args.format == "json":
+        _emit(args, json.dumps(obj, indent=2) + "\n")
+    else:
+        if verdict is not None:
+            word = "PASS" if verdict else "FAIL"
+            # colour is for a terminal, so never for text written to an -o file
+            if os.environ.get("NO_COLOR") is None and not args.output and sys.stdout.isatty():
+                word = f"\x1b[{32 if verdict else 31}m{word}\x1b[0m"
+            lines = chain(lines, [f"result: {word}"])
+        _emit(args, "".join(line + "\n" for line in lines))
+    return EXIT_MATH_FAIL if verdict is False else EXIT_OK
 
 
-def _colored(args: argparse.Namespace, verdict: bool) -> str:
-    # colour is for a terminal, so never for text written to an -o file
-    word = "PASS" if verdict else "FAIL"
-    if os.environ.get("NO_COLOR") is None and not args.output and sys.stdout.isatty():
-        code = "32" if verdict else "31"
-        return f"\x1b[{code}m{word}\x1b[0m"
-    return word
+def _arc_lines(arcs: Iterable[Arc], *head: str) -> Iterator[str]:
+    return chain(head, (f"({a.t}, {a.u})" for a in arcs))
 
 
 def _cmd_arcs_validate(args: argparse.Namespace) -> int:
-    params = _params(args)
-    payload = _payload(args)
-    family = parse_family(payload, params)  # raises with a diagnostic on bad arcs
+    family = parse_family(_payload(args), _params(args))  # raises with a diagnostic on bad arcs
     report = {
         "n": family.params.n,
         "count": len(family.arcs),
         "valid": True,
         "arcs": [a.to_json() for a in family.arcs],
     }
-    if args.format == "text":
-        _emit(args, f"{len(family.arcs)} arcs, all {family.params.n}-admissible\n")
-    else:
-        _emit_json(args, report)
-    return EXIT_OK
+    return _report(args, report, [f"{len(family.arcs)} arcs, all {family.params.n}-admissible"])
 
 
 def _cmd_arcs_enumerate(args: argparse.Namespace) -> int:
     params = CategoryParams(args.n)
     window = Window(args.window[0], args.window[1])
     arcs = enumerate_arcs(params, window)
-    if args.format == "text":
-        lines = [f"({a.t}, {a.u})" for a in arcs]
-        _emit(args, "\n".join(lines) + ("\n" if lines else ""))
-    else:
-        _emit_json(
-            args,
-            {
-                "n": params.n,
-                "window": [window.lo, window.hi],
-                "count": len(arcs),
-                "arcs": [a.to_json() for a in arcs],
-            },
-        )
-    return EXIT_OK
+    report = {
+        "n": params.n,
+        "window": [window.lo, window.hi],
+        "count": len(arcs),
+        "arcs": [a.to_json() for a in arcs],
+    }
+    return _report(args, report, _arc_lines(arcs))
 
 
 def _quiver_from_args(args: argparse.Namespace):
@@ -153,13 +158,8 @@ def _quiver_from_args(args: argparse.Namespace):
 
 def _cmd_quiver_window(args: argparse.Namespace) -> int:
     qw = _quiver_from_args(args)
-    if args.format == "text":
-        lines = [f"component {qw.component}: {len(qw.nodes)} nodes, {len(qw.arrows)} arrows"]
-        lines += [f"({a.t}, {a.u})" for a in qw.nodes]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args, qw.to_json_dict())
-    return EXIT_OK
+    head = f"component {qw.component}: {len(qw.nodes)} nodes, {len(qw.arrows)} arrows"
+    return _report(args, qw.to_json_dict(), _arc_lines(qw.nodes, head))
 
 
 def _cmd_angulation_check(args: argparse.Namespace) -> int:
@@ -167,7 +167,6 @@ def _cmd_angulation_check(args: argparse.Namespace) -> int:
     window = _window_from_args(args, family)
     pair = validate_noncrossing(family)
     witness = None if pair else is_maximal_in_window(family, window)
-    passed = pair is None and witness is None
     report = {
         "n": family.params.n,
         "window": [window.lo, window.hi],
@@ -177,76 +176,52 @@ def _cmd_angulation_check(args: argparse.Namespace) -> int:
         "window_maximal": None if pair else witness is None,
         "witness": witness.to_json() if witness else None,
     }
-    if args.format == "text":
-        lines = [f"window-local certificate over [{window.lo}, {window.hi}]"]
-        if pair:
-            lines.append(f"crossing: ({pair[0].t}, {pair[0].u}) x ({pair[1].t}, {pair[1].u})")
-        elif witness:
-            lines.append(f"not maximal: arc ({witness.t}, {witness.u}) can be added")
-        lines.append(f"result: {_colored(args, passed)}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args, report)
-    return EXIT_OK if passed else EXIT_MATH_FAIL
+    lines = [f"window-local certificate over [{window.lo}, {window.hi}]"]
+    if pair:
+        lines.append(f"crossing: ({pair[0].t}, {pair[0].u}) x ({pair[1].t}, {pair[1].u})")
+    elif witness:
+        lines.append(f"not maximal: arc ({witness.t}, {witness.u}) can be added")
+    return _report(args, report, lines, pair is None and witness is None)
 
 
 def _cmd_angulation_complete(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     window = _window_from_args(args, family)
     completed = complete_in_window(family, window)
-    if args.format == "text":
-        added = len(completed.arcs) - len(family.arcs)
-        lines = [f"added {added} arcs inside [{window.lo}, {window.hi}]"]
-        lines += [f"({a.t}, {a.u})" for a in completed.arcs]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args, completed.to_json_dict())
-    return EXIT_OK
+    added = len(completed.arcs) - len(family.arcs)
+    head = f"added {added} arcs inside [{window.lo}, {window.hi}]"
+    return _report(args, completed.to_json_dict(), _arc_lines(completed.arcs, head))
 
 
 def _cmd_family_canonical(args: argparse.Namespace) -> int:
     family = canonical_family(CategoryParams(args.n), args.m)
-    if args.format == "text":
-        _emit(args, "\n".join(f"({a.t}, {a.u})" for a in family.arcs) + "\n")
-    else:
-        _emit_json(args, family.to_json_dict())
-    return EXIT_OK
+    return _report(args, family.to_json_dict(), _arc_lines(family.arcs))
 
 
 def _cmd_k0_present(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     pres = k0_presentation(family.params, family)
     report = pres.to_json_dict()
-    if args.format == "text":
-        lines = [
-            f"generators={report['generators']} relations_used={report['relations_used']}",
-            f"free_rank={report['free_rank']} torsion={report['invariant_factors']}",
-            f"label: {report['label']}",
-        ]
-        for a, coords in zip(family.arcs, pres.classes):
-            lines.append(f"class ({a.t}, {a.u}) -> {list(coords)}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args, report)
-    return EXIT_OK
+    head = [
+        f"generators={report['generators']} relations_used={report['relations_used']}",
+        f"free_rank={report['free_rank']} torsion={report['invariant_factors']}",
+        f"label: {report['label']}",
+    ]
+    classes = zip(_arc_lines(family.arcs), pres.classes)
+    return _report(args, report, chain(head, (f"class {a} -> {list(c)}" for a, c in classes)))
 
 
 def _cmd_k0_verify(args: argparse.Namespace) -> int:
     report = verify_theorem(CategoryParams(args.n), args.m)
-    if args.format == "text":
-        lines = [
-            f"k0 verify: n={args.n} m={args.m}",
-            f"free_rank={report.free_rank} torsion={list(report.invariant_factors)} "
-            f"relations_used={report.relations_used}",
-            "classes=" + str([c[0] if len(c) == 1 else list(c) for c in report.classes]),
-        ]
-        if report.first_violation:
-            lines.append(f"violation: {report.first_violation}")
-        lines.append(f"result: {_colored(args, report.passed)}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit_json(args, report.to_json_dict())
-    return EXIT_OK if report.passed else EXIT_MATH_FAIL
+    lines = [
+        f"k0 verify: n={args.n} m={args.m}",
+        f"free_rank={report.free_rank} torsion={list(report.invariant_factors)} "
+        f"relations_used={report.relations_used}",
+        "classes=" + str([c[0] if len(c) == 1 else list(c) for c in report.classes]),
+    ]
+    if report.first_violation:
+        lines.append(f"violation: {report.first_violation}")
+    return _report(args, report.to_json_dict(), lines, report.passed)
 
 
 def _render_options(args: argparse.Namespace, highlight: tuple[Arc, ...] = ()) -> RenderOptions:
@@ -261,8 +236,7 @@ def _render_options(args: argparse.Namespace, highlight: tuple[Arc, ...] = ()) -
 def _cmd_render_arcs(args: argparse.Namespace) -> int:
     family = _family_from_args(args)
     window = Window(args.window[0], args.window[1])
-    svg = arc_diagram_svg(family, window, _render_options(args))
-    _emit(args, svg)
+    _emit(args, arc_diagram_svg(family, window, _render_options(args)))
     return EXIT_OK
 
 
@@ -270,11 +244,8 @@ def _cmd_render_quiver(args: argparse.Namespace) -> int:
     qw = _quiver_from_args(args)
     highlight: tuple[Arc, ...] = ()
     if args.highlight_canonical is not None:
-        fam = canonical_family(CategoryParams(args.n), args.highlight_canonical)
-        node_set = set(qw.nodes)
-        highlight = tuple(a for a in fam.arcs if a in node_set)
-    svg = quiver_svg(qw, _render_options(args, highlight))
-    _emit(args, svg)
+        highlight = canonical_family(CategoryParams(args.n), args.highlight_canonical).arcs
+    _emit(args, quiver_svg(qw, _render_options(args, highlight)))
     return EXIT_OK
 
 
