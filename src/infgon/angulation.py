@@ -186,7 +186,7 @@ def canonical_family(params: CategoryParams, m: int) -> ArcFamily:
     family is pairwise non-crossing and locally finite for every n.
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise ValueError(f"family size m must be an integer >= 1, got {m!r}")
+        raise ValueError(f"family size m must be an integer >= 1, got {short_repr(m)}")
     n = params.n
     arcs: list[Arc] = []
     for i in range(1, m + 1):

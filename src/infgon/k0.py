@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .angulation import ArcFamily, canonical_family, require_noncrossing
-from .arcs import Arc, CategoryParams
+from .arcs import Arc, CategoryParams, short_repr
 from .intlinalg import IntMatrix, cokernel
 from .quiver import ar_triangle, arrows_from
 
@@ -208,7 +208,7 @@ def verify_theorem(params: CategoryParams, m: int) -> TheoremReport:
     failure.
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 2:
-        raise ValueError(f"truncation m must be an integer >= 2, got {m!r}")
+        raise ValueError(f"truncation m must be an integer >= 2, got {short_repr(m)}")
     family = canonical_family(params, m)
     pres = k0_presentation(params, family)
 

@@ -16,8 +16,10 @@ from .arcs import (
     Arc,
     CategoryParams,
     Window,
+    _require_int,
     minimal_length,
     require_admissible,
+    short_repr,
     tau,
 )
 
@@ -96,14 +98,15 @@ def quiver_window(
     is how a printed picture of the quiver is cropped along its diagonal
     edges.  Nodes are ordered by (t, u) and arrows pair included nodes only.
     """
-    if not 0 <= component < params.n:
-        raise ValueError(
-            f"component {component} out of range for n = {params.n} (expected 0..{params.n - 1})"
-        )
-    if not isinstance(depth, int) or isinstance(depth, bool) or depth < 1:
-        raise ValueError(f"depth must be an integer >= 1, got {depth!r}")
-
     n = params.n
+    if not 0 <= _require_int(component, "component") < n:
+        raise ValueError(
+            f"component {short_repr(component)} out of range for n = {short_repr(n)} "
+            f"(expected 0..{short_repr(n - 1)})"
+        )
+    if _require_int(depth, "depth") < 1:
+        raise ValueError(f"depth must be an integer >= 1, got {short_repr(depth)}")
+
     nodes: list[Arc] = []
     first = t_range.lo + (component - t_range.lo) % n
     for t in range(first, t_range.hi + 1, n):

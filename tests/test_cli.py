@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,8 +124,14 @@ HUGE = "1" + "0" * 4200  # just under the 4300-digit limit of int() and json
         ("arcs", "validate", "-n", "2", "--json", f"[[0, {HUGE}]]"),
         ("arcs", "validate", "-n", "2", "--json", f"[[{HUGE}, 0]]"),
         ("arcs", "enumerate", "-n", "2", "--window", HUGE, "0"),
+        ("k0", "verify", "-n", "2", "--m", "-" + HUGE),
+        ("family", "canonical", "-n", "2", "--m", "-" + HUGE),
+        ("quiver", "window", "-n", "2", "--component", "0", "--trange", "0", "4",
+         "--depth", "-" + HUGE),
+        ("quiver", "window", "-n", "2", "--component", HUGE, "--trange", "0", "4",
+         "--depth", "2"),
     ],
-    ids=["inadmissible", "unordered", "window"],
+    ids=["inadmissible", "unordered", "window", "verify-m", "canonical-m", "depth", "component"],
 )
 def test_huge_endpoint_is_not_echoed_whole(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -132,6 +142,28 @@ def test_huge_endpoint_is_not_echoed_whole(capsys, argv):
     # carries two of them (an endpoint and the length) and runs to 243
     assert len(err) < 250
     assert HUGE[:81] not in err
+
+
+# -------------------------------------------------------- process boundary
+
+
+def test_exit_codes_reach_the_shell():
+    # `sys.exit(main())` under `python -m infgon.cli`, as a shell sees it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def shell(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "infgon.cli", *argv], env=env, capture_output=True, text=True
+        )
+
+    assert shell("k0", "verify", "-n", "3", "--m", "20").returncode == 0
+    crossing = shell("angulation", "check", "-n", "3", "--json", "[[1,5],[3,7]]")
+    assert crossing.returncode == 1
+    malformed = shell("arcs", "validate", "-n", "1", "--json", "[[0,")
+    assert malformed.returncode == 2
+    assert malformed.stdout == ""
+    assert malformed.stderr.startswith("error:") and malformed.stderr.count("\n") == 1
 
 
 # ---------------------------------------------------------- arcs enumerate

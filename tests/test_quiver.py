@@ -143,6 +143,10 @@ def test_quiver_window_rejects_bad_arguments():
         quiver_window(p3, 3, Window(0, 5), 2)
     with pytest.raises(ValueError, match="component"):
         quiver_window(p3, -1, Window(0, 5), 2)
+    with pytest.raises(ValueError, match="component must be an exact integer"):
+        quiver_window(p3, True, Window(0, 5), 2)
+    with pytest.raises(ValueError, match="component must be an exact integer"):
+        quiver_window(p3, "1", Window(0, 5), 2)
     with pytest.raises(ValueError, match="depth"):
         quiver_window(p3, 0, Window(0, 5), 0)
 
