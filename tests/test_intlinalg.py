@@ -139,6 +139,36 @@ def _bumped(m, i, j, delta=1):
 GENUINE = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
 
 
+# Exact U, V, U^-1 and V^-1, pinned so that a change to the pivot search
+# shows as a diff here: GENUINE, then a 3x3 whose first |1| is not at (0, 0),
+# one whose smallest entry is negative, and a wide 2x4 full of |2| ties.
+PINNED_TRANSFORMS = [
+    ([[2, 4], [6, 8]],
+     ((1, 0), (3, -1)), ((1, -2), (0, 1)),
+     ((1, 0), (3, -1)), ((1, 2), (0, 1))),
+    ([[2, 3, -1], [-1, 4, 1], [1, -1, 5]],
+     ((-1, 0, 0), (1, 1, 0), (6, 11, -1)), ((0, 1, -7), (0, 0, 1), (1, 2, -11)),
+     ((-1, 0, 0), (1, 1, 0), (5, 11, -1)), ((-2, -3, 1), (1, 7, 0), (0, 1, 0))),
+    ([[6, 9, 4], [8, -3, 10], [12, 15, 7]],
+     ((0, -1, 0), (88, -3, -51), (421, -15, -244)),
+     ((1, 7, -255), (3, 22, -800), (0, 1, -36)),
+     ((33, 244, -51), (-1, 0, 0), (57, 421, -88)),
+     ((-8, 3, -10), (-108, 36, -35), (-3, 1, -1))),
+    ([[0, 2, -2, 4], [2, 0, 6, -2]],
+     ((1, 0), (0, 1)),
+     ((0, 1, -3, 1), (1, 0, 1, -2), (0, 0, 1, 0), (0, 0, 0, 1)),
+     ((1, 0), (0, 1)),
+     ((0, 1, -1, 2), (1, 0, 3, -1), (0, 0, 1, 0), (0, 0, 0, 1))),
+]
+
+
+@pytest.mark.parametrize("rows,u,v,u_inv,v_inv", PINNED_TRANSFORMS)
+def test_snf_transforms_are_pinned(rows, u, v, u_inv, v_inv):
+    res = smith_normal_form(IntMatrix.from_rows(rows))
+    assert (res.u.entries, res.v.entries) == (u, v)
+    assert (res.u_inv.entries, res.v_inv.entries) == (u_inv, v_inv)
+
+
 @given(st.lists(st.integers(-9, 9), min_size=4, max_size=4))
 def test_verify_rejects_non_unimodular_u_with_any_inverse(claimed):
     # det diag(2, 1) = 2: row 0 of U * X is even, so U * X = I is impossible
