@@ -244,7 +244,9 @@ def _cmd_render_quiver(args: argparse.Namespace) -> int:
     qw = _quiver_from_args(args)
     highlight: tuple[Arc, ...] = ()
     if args.highlight_canonical is not None:
-        highlight = canonical_family(CategoryParams(args.n), args.highlight_canonical).arcs
+        # member i lies in row i, so only the first `depth` can be drawn
+        m = min(args.highlight_canonical, args.depth)
+        highlight = canonical_family(CategoryParams(args.n), m).arcs
     _emit(args, quiver_svg(qw, _render_options(args, highlight)))
     return EXIT_OK
 

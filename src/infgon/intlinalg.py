@@ -13,16 +13,18 @@ V * V^-1 = I show that U and V are unimodular (an integer matrix with an
 integer inverse has determinant +-1), and U * A = D * V^-1 then gives
 U * A * V = D * V^-1 * V = D.  No determinant is needed.
 
-Pivoting rule: at each step the entry of smallest nonzero absolute value in
-the remaining block is chosen, ties broken by lowest (row, col).  Together
-with the fixed reduction order this makes the output a pure function of the
-input, which the rendering and CLI layers rely on.
+Pivoting rule, owned by `_pivot`: at each step the entry of smallest nonzero
+absolute value in the remaining block is chosen, ties broken by lowest
+(row, col).  Together with the fixed reduction order this makes the output a
+pure function of the input, which the rendering and CLI layers rely on.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+
+from .arcs import short_repr
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,7 @@ class IntMatrix:
                 )
             for x in row:
                 if isinstance(x, bool) or not isinstance(x, int):
-                    raise ValueError(f"matrix entries must be exact integers, got {x!r}")
+                    raise ValueError(f"matrix entries must be exact integers, got {short_repr(x)}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -66,9 +68,7 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, k: int) -> "IntMatrix":
-        return cls(k, k, tuple(
-            tuple(1 if i == j else 0 for j in range(k)) for i in range(k)
-        ))
+        return cls(k, k, tuple(map(tuple, _identity_rows(k))))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -118,7 +118,7 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """Smith decomposition U * A * V = D of the input matrix A.
+    """Smith decomposition U * A * V = D of `matrix`, with D stored as its diagonal.
 
     `u_inv` and `v_inv` are the inverses of U and V; they are the
     certificate that `verify` checks.
@@ -126,40 +126,29 @@ class SnfResult:
 
     matrix: IntMatrix
     u: IntMatrix
-    d: IntMatrix
+    diagonal: tuple[int, ...]
     v: IntMatrix
     u_inv: IntMatrix
     v_inv: IntMatrix
 
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(
-            self.d.entries[i][i] for i in range(min(self.d.rows, self.d.cols))
-        )
-
     @property
     def rank(self) -> int:
-        return sum(1 for x in self.diagonal() if x != 0)
+        return sum(1 for x in self.diagonal if x != 0)
 
     def verify(self) -> None:
         """Re-check every contract from first principles; raise on failure."""
-        d = self.d
-        if (d.rows, d.cols) != (self.matrix.rows, self.matrix.cols):
-            raise AssertionError("D has wrong shape")
-        for i in range(d.rows):
-            for j in range(d.cols):
-                if i != j and d.entries[i][j] != 0:
-                    raise AssertionError(f"D is not diagonal at ({i}, {j})")
-        diag = self.diagonal()
+        rows, cols = self.matrix.rows, self.matrix.cols
+        diag = self.diagonal
+        if len(diag) != min(rows, cols):
+            raise AssertionError("diagonal has wrong length")
         for i, x in enumerate(diag):
+            if isinstance(x, bool) or not isinstance(x, int):
+                raise AssertionError(f"diagonal entry d[{i}] is not an exact integer")
             if x < 0:
                 raise AssertionError(f"negative diagonal entry d[{i}] = {x}")
-            if i + 1 < len(diag):
-                nxt = diag[i + 1]
-                if x == 0 and nxt != 0:
-                    raise AssertionError("zero diagonal entry before a nonzero one")
-                if x != 0 and nxt % x != 0:
-                    raise AssertionError(f"divisibility broken: {x} does not divide {nxt}")
-        rows, cols = d.rows, d.cols
+            prev = diag[i - 1] if i else 1
+            if x != 0 and (prev == 0 or x % prev != 0):
+                raise AssertionError(f"divisibility broken: {prev} does not divide {x}")
         for name, t, k in (
             ("U", self.u, rows), ("U^-1", self.u_inv, rows),
             ("V", self.v, cols), ("V^-1", self.v_inv, cols),
@@ -182,6 +171,20 @@ class SnfResult:
 
 def _identity_rows(k: int) -> Iterator[list[int]]:
     return ([1 if i == j else 0 for j in range(k)] for i in range(k))
+
+
+def _pivot(d: list[list[int]], k: int, ncols: int) -> tuple[int, int] | None:
+    """(row, col) of the pivot for step k, or None if the block from (k, k) is zero."""
+    best, where = 0, None
+    for i in range(k, len(d)):
+        for j, x in enumerate(d[i][k:ncols], k):
+            if x:
+                x = -x if x < 0 else x
+                if x == 1:
+                    return i, j
+                if not best or x < best:
+                    best, where = x, (i, j)
+    return where
 
 
 def _product_is(a: IntMatrix, b: IntMatrix, want: Iterable[list[int]]) -> bool:
@@ -215,10 +218,8 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     """
     nrows, ncols = a.rows, a.cols
     d = [list(row) for row in a.entries]
-    u = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    u_inv_t = [list(row) for row in u]
-    v_inv = [list(row) for row in v]
+    u, u_inv_t = list(_identity_rows(nrows)), list(_identity_rows(nrows))
+    v, v_inv = list(_identity_rows(ncols)), list(_identity_rows(ncols))
 
     def swap_rows(i: int, j: int) -> None:
         d[i], d[j] = d[j], d[i]
@@ -253,24 +254,8 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         u[i] = [-x for x in u[i]]
         u_inv_t[i] = [-x for x in u_inv_t[i]]
 
-    limit = min(nrows, ncols)
-    for k in range(limit):
-        # smallest nonzero |entry| in the remaining block, ties by (row, col)
-        best = None
-        where = None
-        for i in range(k, nrows):
-            drow = d[i]
-            for j in range(k, ncols):
-                x = drow[j]
-                if x:
-                    x = -x if x < 0 else x
-                    if best is None or x < best:
-                        best = x
-                        where = (i, j)
-                        if x == 1:
-                            break
-            if best == 1:
-                break
+    for k in range(min(nrows, ncols)):
+        where = _pivot(d, k, ncols)
         if where is None:
             break  # remaining block is zero; trailing diagonal stays zero
         if where[0] != k:
@@ -323,7 +308,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     result = SnfResult(
         matrix=a,
         u=freeze(u, nrows),
-        d=freeze(d, ncols),
+        diagonal=tuple(d[i][i] for i in range(min(nrows, ncols))),
         v=freeze(v, ncols),
         u_inv=freeze(list(zip(*u_inv_t)), nrows),
         v_inv=freeze(v_inv, ncols),
@@ -372,7 +357,7 @@ def cokernel(a: IntMatrix) -> Cokernel:
     """
     snf = smith_normal_form(a)
     rank = snf.rank
-    torsion = [(i, x) for i, x in enumerate(snf.diagonal()) if x > 1]
+    torsion = [(i, x) for i, x in enumerate(snf.diagonal) if x > 1]
     v = snf.v.entries
     signs = [-1 if next(row[c] for row in v if row[c]) < 0 else 1 for c in range(rank, a.cols)]
     flip = -1 in signs

@@ -8,7 +8,7 @@ bug in the library cannot hide in its own test.
 from itertools import combinations
 from math import gcd
 
-from infgon import Arc, CategoryParams, Window, is_admissible
+from infgon import Arc, CategoryParams, IntMatrix, Window, is_admissible
 
 
 def crossing_oracle(a: Arc, b: Arc) -> bool:
@@ -47,6 +47,14 @@ def maximality_oracle(family, w: Window):
     """None when maximal inside w, else the smallest addable arc."""
     extra = addable_arcs(family, w)
     return min(extra) if extra else None
+
+
+def diagonal_matrix(diagonal, rows: int, cols: int) -> IntMatrix:
+    """The rows x cols matrix with `diagonal` down its main diagonal, else zero."""
+    return IntMatrix.from_rows(
+        [[diagonal[i] if i == j else 0 for j in range(cols)] for i in range(rows)],
+        cols=cols,
+    )
 
 
 def _det(rows: list[list[int]]) -> int:

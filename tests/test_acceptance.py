@@ -31,7 +31,12 @@ from infgon import (
     smith_normal_form,
     verify_theorem,
 )
-from oracles import crossing_oracle, invariant_factors_oracle, maximality_oracle
+from oracles import (
+    crossing_oracle,
+    diagonal_matrix,
+    invariant_factors_oracle,
+    maximality_oracle,
+)
 
 SEED = 20260814
 
@@ -197,9 +202,9 @@ def test_criterion_6c_snf_oracle():
             cols=cols,
         )
         res = smith_normal_form(a)
-        nonzero = [x for x in res.diagonal() if x != 0]
+        nonzero = [x for x in res.diagonal if x != 0]
         assert nonzero == invariant_factors_oracle(a.entries)
-        assert res.u.mul(a).mul(res.v) == res.d
+        assert res.u.mul(a).mul(res.v) == diagonal_matrix(res.diagonal, rows, cols)
         assert abs(res.u.determinant()) == 1
         assert abs(res.v.determinant()) == 1
 

@@ -30,6 +30,10 @@ def test_removed_names_are_gone():
         assert not hasattr(angulation, name)
     assert not hasattr(IntMatrix, "transpose")
     assert not hasattr(SnfResult, "invariant_factors")
+    # D is stored as the `diagonal` field: no dense `d`, no `diagonal()` method
+    assert "diagonal" in SnfResult.__dataclass_fields__
+    assert not hasattr(SnfResult, "d")
+    assert not hasattr(SnfResult, "diagonal")
     assert not hasattr(RelationVector, "evaluate")
     assert not hasattr(IntMatrix, "to_json")
     assert not hasattr(RelationVector, "is_zero")
@@ -37,6 +41,22 @@ def test_removed_names_are_gone():
     assert not hasattr(K0Presentation, "project")
     assert not hasattr(K0Presentation, "class_of")
     assert not hasattr(RenderOptions, "margin")
+
+
+def test_readme_library_example():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    checked = 0
+    for line in block.splitlines():
+        expr, comment, want = line.partition("  #")
+        if comment:
+            assert eval(expr, namespace) == ast.literal_eval(want.strip()), line
+            checked += 1
+        elif line:
+            exec(line, namespace)
+    assert checked == 3
 
 
 def test_runtime_imports_are_stdlib_only():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from infgon import cli
 from infgon.cli import main
 
 
@@ -472,6 +473,19 @@ def test_render_quiver_highlights_canonical_members(capsys, tmp_path):
     text = target.read_text()
     assert text.count('class="node highlight"') == 4
     assert text.count('class="node"') == 10
+
+
+def test_render_quiver_builds_only_the_drawable_canonical_members(capsys, monkeypatch):
+    # member i of the canonical family lies in row i, so depth 2 draws two
+    build = cli.canonical_family
+    seen = []
+    monkeypatch.setattr(cli, "canonical_family", lambda p, m: seen.append(m) or build(p, m))
+    argv = ("render", "quiver", "-n", "1", "--component", "0",
+            "--trange", "0", "2", "--depth", "2", "--highlight-canonical")
+    code, huge, _ = run(capsys, *argv, "100000")
+    assert code == 0
+    assert seen == [2]
+    assert run(capsys, *argv, "2") == (0, huge, "")
 
 
 def test_render_quiver_no_labels_to_stdout(capsys):

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from infgon import IntMatrix, cokernel, smith_normal_form
-from oracles import invariant_factors_oracle
+from oracles import diagonal_matrix, invariant_factors_oracle
 
 
 # ------------------------------------------------------------- IntMatrix
@@ -33,6 +33,9 @@ def test_rejects_ragged_and_non_int():
         IntMatrix.from_rows([[1, 2.0]])
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[True, 0]])
+    with pytest.raises(ValueError) as excinfo:
+        IntMatrix.from_rows([["x" * 5000]])
+    assert len(str(excinfo.value).splitlines()) == 1 and len(str(excinfo.value)) < 200
 
 
 def test_identity_and_mul():
@@ -59,18 +62,18 @@ def test_determinant():
 def test_snf_worked_example():
     a = IntMatrix.from_rows([[2, 4], [6, 8]])
     res = smith_normal_form(a)
-    assert res.diagonal() == (2, 4)
+    assert res.diagonal == (2, 4)
     assert res.rank == 2
     assert cokernel(a).invariant_factors == (2, 4)
 
 
 def test_snf_identity_and_zero():
     res = smith_normal_form(IntMatrix.identity(3))
-    assert res.diagonal() == (1, 1, 1)
+    assert res.diagonal == (1, 1, 1)
     assert cokernel(IntMatrix.identity(3)).invariant_factors == ()
 
     res = smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]]))
-    assert res.diagonal() == (0, 0)
+    assert res.diagonal == (0, 0)
     assert res.rank == 0
 
 
@@ -88,7 +91,7 @@ def test_snf_is_deterministic():
     a = IntMatrix.from_rows([[3, -1, 2], [0, 4, 6], [7, 7, 7]])
     r1 = smith_normal_form(a)
     r2 = smith_normal_form(a)
-    assert (r1.u, r1.d, r1.v) == (r2.u, r2.d, r2.v)
+    assert (r1.u, r1.diagonal, r1.v) == (r2.u, r2.diagonal, r2.v)
 
 
 @st.composite
@@ -105,12 +108,12 @@ def small_matrix(draw):
 @settings(max_examples=300, deadline=None)
 def test_snf_matches_minor_gcd_oracle(a):
     res = smith_normal_form(a)
-    nonzero = [x for x in res.diagonal() if x != 0]
+    nonzero = [x for x in res.diagonal if x != 0]
     assert nonzero == invariant_factors_oracle(a.entries)
     # transforms are unimodular and actually witness the diagonalization
     assert abs(res.u.determinant()) == 1
     assert abs(res.v.determinant()) == 1
-    assert res.u.mul(a).mul(res.v) == res.d
+    assert res.u.mul(a).mul(res.v) == diagonal_matrix(res.diagonal, a.rows, a.cols)
     # the certificate the self-check accepted agrees with the dense oracles:
     # both inverses are two-sided and unimodular
     res.verify()
@@ -126,7 +129,7 @@ def test_snf_self_check_needs_no_determinant_or_dense_product(monkeypatch):
     monkeypatch.setattr(IntMatrix, "determinant", forbidden)
     monkeypatch.setattr(IntMatrix, "mul", forbidden)
     res = smith_normal_form(IntMatrix.from_rows([[3, -1, 2], [0, 4, 6], [7, 7, 7]]))
-    assert res.diagonal() == (1, 1, 140)
+    assert res.diagonal == (1, 1, 140)
 
 
 def _bumped(m, i, j, delta=1):
@@ -187,12 +190,24 @@ def test_verify_rejects_an_inverse_off_by_one_entry(field, i, j):
 
 
 def test_verify_rejects_a_wrong_entry_of_d():
-    # (2, 8) keeps D diagonal, non-negative and divisible; only U * A * V fails
-    forged = replace(GENUINE, d=_bumped(GENUINE.d, 1, 1, 4))
+    # (2, 8) keeps D non-negative and divisible; only U * A * V fails
+    forged = replace(GENUINE, diagonal=(2, 8))
     with pytest.raises(AssertionError, match="U \\* A != D \\* V\\^-1"):
         forged.verify()
-    with pytest.raises(AssertionError, match="not diagonal"):
-        replace(GENUINE, d=_bumped(GENUINE.d, 0, 1)).verify()
+
+
+@pytest.mark.parametrize("diagonal,message", [
+    ((2,), "wrong length"),
+    ((2, 4, 0), "wrong length"),
+    ((True, 4), "not an exact integer"),
+    ((2.0, 4), "not an exact integer"),
+    ((-2, 4), "negative"),
+    ((4, 2), "divisibility broken"),
+    ((0, 2), "divisibility broken"),
+])
+def test_verify_rejects_a_malformed_diagonal(diagonal, message):
+    with pytest.raises(AssertionError, match=message):
+        replace(GENUINE, diagonal=diagonal).verify()
 
 
 def test_verify_rejects_a_v_inverse_that_does_not_match_v():
@@ -211,22 +226,29 @@ def test_verify_rejects_transforms_of_the_wrong_shape():
             replace(GENUINE, **{field: IntMatrix.identity(3)}).verify()
 
 
-@given(small_matrix(), st.sampled_from(["matrix", "u", "d", "v", "u_inv", "v_inv"]),
+@given(small_matrix(), st.sampled_from(["matrix", "u", "diagonal", "v", "u_inv", "v_inv"]),
        st.integers(0, 35), st.sampled_from([-2, -1, 1, 3]))
 @settings(max_examples=300, deadline=None)
 def test_verify_rejects_any_single_entry_change(a, field, at, delta):
     res = smith_normal_form(a)
-    m = getattr(res, field)
-    assume(m.rows and m.cols)
-    i, j = divmod(at % (m.rows * m.cols), m.cols)
+    if field == "diagonal":
+        diagonal = list(res.diagonal)
+        assume(diagonal)
+        diagonal[at % len(diagonal)] += delta
+        forged = replace(res, diagonal=tuple(diagonal))
+    else:
+        m = getattr(res, field)
+        assume(m.rows and m.cols)
+        i, j = divmod(at % (m.rows * m.cols), m.cols)
+        forged = replace(res, **{field: _bumped(m, i, j, delta)})
     with pytest.raises(AssertionError):
-        replace(res, **{field: _bumped(m, i, j, delta)}).verify()
+        forged.verify()
 
 
 def test_snf_divisibility_on_a_torsion_heavy_matrix():
     a = IntMatrix.from_rows([[4, 0, 0], [0, 6, 0], [0, 0, 10]])
     res = smith_normal_form(a)
-    assert res.diagonal() == (2, 2, 60)
+    assert res.diagonal == (2, 2, 60)
 
 
 # -------------------------------------------------------------- cokernel
@@ -292,7 +314,7 @@ def test_class_map_is_onto(a):
     # row p of V^-1 maps to the unit vector of the slot that position p feeds
     snf = smith_normal_form(a)
     c = cokernel(a)
-    torsion = [p for p, x in enumerate(snf.diagonal()) if x > 1]
+    torsion = [p for p, x in enumerate(snf.diagonal) if x > 1]
     positions = torsion + list(range(snf.rank, a.cols))
     for k, p in enumerate(positions):
         unit = tuple(int(i == k) for i in range(len(positions)))
