@@ -144,7 +144,8 @@ GENUINE = smith_normal_form(IntMatrix.from_rows([[2, 4], [6, 8]]))
 
 # Exact U, V, U^-1 and V^-1, pinned so that a change to the pivot search
 # shows as a diff here: GENUINE, then a 3x3 whose first |1| is not at (0, 0),
-# one whose smallest entry is negative, and a wide 2x4 full of |2| ties.
+# one whose smallest entry is negative, a wide 2x4 full of |2| ties, and a
+# tall 3x2, where U^-1 is larger than V.
 PINNED_TRANSFORMS = [
     ([[2, 4], [6, 8]],
      ((1, 0), (3, -1)), ((1, -2), (0, 1)),
@@ -162,6 +163,9 @@ PINNED_TRANSFORMS = [
      ((0, 1, -3, 1), (1, 0, 1, -2), (0, 0, 1, 0), (0, 0, 0, 1)),
      ((1, 0), (0, 1)),
      ((0, 1, -1, 2), (1, 0, 3, -1), (0, 0, 1, 0), (0, 0, 0, 1))),
+    ([[2, 3], [4, 5], [6, 7]],
+     ((1, 0, 0), (-1, 1, 0), (1, -2, 1)), ((-1, 3), (1, -2)),
+     ((1, 0, 0), (1, 1, 0), (1, 2, 1)), ((2, 3), (1, 1))),
 ]
 
 
