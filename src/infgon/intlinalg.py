@@ -6,10 +6,13 @@ column transforms (U * A * V = D) because the group presentations downstream
 need the column transform to express generator classes in the reduced basis.
 
 Every elementary operation is mirrored into U or V and, inverted, into U^-1
-or V^-1, so the reduction also returns both inverses.  The self-check run on
-every result proves the decomposition from those four integer matrices with
-three exact products over the nonzero entries: U * U^-1 = I and
-V * V^-1 = I show that U and V are unimodular (an integer matrix with an
+or V^-1, so the reduction also returns both inverses.  V and U^-1 are kept
+transposed, so `_add_row`, the one row update, does every row combination.
+A column is added to clear row k only after column k is cleared to
+d[k][k] * e_k, so on D it changes the one entry in row k.  The self-check
+run on every result proves the decomposition from those four integer
+matrices with three exact products over the nonzero entries: U * U^-1 = I
+and V * V^-1 = I show that U and V are unimodular (an integer matrix with an
 integer inverse has determinant +-1), and U * A = D * V^-1 then gives
 U * A * V = D * V^-1 * V = D.  No determinant is needed.
 
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .arcs import short_repr
 
@@ -51,9 +55,11 @@ class IntMatrix:
                 raise ValueError(
                     f"ragged matrix: expected {self.cols} columns, got {len(row)}"
                 )
-            for x in row:
-                if isinstance(x, bool) or not isinstance(x, int):
-                    raise ValueError(f"matrix entries must be exact integers, got {short_repr(x)}")
+        types = set(map(type, chain.from_iterable(self.entries)))
+        wrong = {t for t in types if t is bool or not issubclass(t, int)}
+        if wrong:
+            x = next(x for x in chain.from_iterable(self.entries) if type(x) in wrong)
+            raise ValueError(f"matrix entries must be exact integers, got {short_repr(x)}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
@@ -65,10 +71,6 @@ class IntMatrix:
         if cols is not None and cols != width:
             raise ValueError(f"declared {cols} columns but rows have {width}")
         return cls(len(rows), width, tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def identity(cls, k: int) -> "IntMatrix":
-        return cls(k, k, tuple(map(tuple, _identity_rows(k))))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -173,6 +175,16 @@ def _identity_rows(k: int) -> Iterator[list[int]]:
     return ([1 if i == j else 0 for j in range(k)] for i in range(k))
 
 
+def _add_row(rows: list[list[int]], dst: int, src: int, c: int) -> None:
+    """rows[dst] += c * rows[src]: every row combination of the reduction."""
+    rows[dst] = [x + c * y for x, y in zip(rows[dst], rows[src])]
+
+
+def _swap(seqs: Iterable[list], i: int, j: int) -> None:
+    for s in seqs:
+        s[i], s[j] = s[j], s[i]
+
+
 def _pivot(d: list[list[int]], k: int, ncols: int) -> tuple[int, int] | None:
     """(row, col) of the pivot for step k, or None if the block from (k, k) is zero."""
     best, where = 0, None
@@ -211,59 +223,46 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 
     Elementary row operations are mirrored into U, column operations into V,
     so U * A * V = D holds at every step by construction.  The inverse of
-    each operation is mirrored into U^-1 and V^-1 from the other side.  U^-1
-    is kept transposed, so that every update of an inverse is a row
-    operation.  Each pivot ends up positive and divides all entries of the
+    each operation is mirrored into U^-1 and V^-1 from the other side.  V
+    and U^-1 are kept transposed, so `_add_row` does every row update.  A
+    column is added only once column k is d[k][k] * e_k, so on D it moves
+    one entry.  Each pivot ends up positive and divides all entries of the
     remaining block, which gives the divisibility chain directly.
     """
     nrows, ncols = a.rows, a.cols
     d = [list(row) for row in a.entries]
     u, u_inv_t = list(_identity_rows(nrows)), list(_identity_rows(nrows))
-    v, v_inv = list(_identity_rows(ncols)), list(_identity_rows(ncols))
-
-    def swap_rows(i: int, j: int) -> None:
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        u_inv_t[i], u_inv_t[j] = u_inv_t[j], u_inv_t[i]
+    v_t, v_inv = list(_identity_rows(ncols)), list(_identity_rows(ncols))
+    by_row = (d, u, u_inv_t)  # what a row swap or sign flip moves
 
     def swap_cols(i: int, j: int) -> None:
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
+        # entries i and j of each row of D, rows i and j of V^T and V^-1
+        _swap((*d, v_t, v_inv), i, j)
 
     def add_row(src: int, dst: int, c: int) -> None:
         # row[dst] += c * row[src]; the inverse subtracts column dst from src
-        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-        u_inv_t[src] = [x - c * y for x, y in zip(u_inv_t[src], u_inv_t[dst])]
+        _add_row(d, dst, src, c)
+        _add_row(u, dst, src, c)
+        _add_row(u_inv_t, src, dst, -c)
 
     def add_col(src: int, dst: int, c: int) -> None:
-        # col[dst] += c * col[src]; the inverse subtracts row dst from src
-        for row in d:
-            if row[src]:
-                row[dst] += c * row[src]
-        for row in v:
-            if row[src]:
-                row[dst] += c * row[src]
-        v_inv[src] = [x - c * y for x, y in zip(v_inv[src], v_inv[dst])]
-
-    def negate_row(i: int) -> None:
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        u_inv_t[i] = [-x for x in u_inv_t[i]]
+        # col[dst] += c * col[src]; the inverse subtracts row dst from src.
+        # Only called to clear row k, once column k is d[k][k] * e_k (src = k)
+        d[src][dst] += c * d[src][src]
+        _add_row(v_t, dst, src, c)
+        _add_row(v_inv, src, dst, -c)
 
     for k in range(min(nrows, ncols)):
         where = _pivot(d, k, ncols)
         if where is None:
             break  # remaining block is zero; trailing diagonal stays zero
         if where[0] != k:
-            swap_rows(k, where[0])
+            _swap(by_row, k, where[0])
         if where[1] != k:
             swap_cols(k, where[1])
         if d[k][k] < 0:
-            negate_row(k)
+            for rows in by_row:
+                rows[k] = [-x for x in rows[k]]
 
         while True:
             # clear column k; a nonzero remainder becomes a smaller pivot
@@ -274,7 +273,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                     if q:
                         add_row(k, i, -q)
                     if d[i][k]:
-                        swap_rows(k, i)  # remainder is in (0, pivot)
+                        _swap(by_row, k, i)  # remainder is in (0, pivot)
                         break
             else:
                 # clear row k; column k stays clear because only columns > k move
@@ -299,9 +298,9 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                     else:
                         break
 
-    def freeze(rows: list, width: int) -> IntMatrix:
+    def freeze(rows: list, width: int, transposed: bool = False) -> IntMatrix:
         # drop each working copy once it is copied, so at most one is doubled
-        m = IntMatrix.from_rows(rows, cols=width)
+        m = IntMatrix.from_rows(list(zip(*rows)) if transposed else rows, cols=width)
         rows.clear()
         return m
 
@@ -309,8 +308,8 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         matrix=a,
         u=freeze(u, nrows),
         diagonal=tuple(d[i][i] for i in range(min(nrows, ncols))),
-        v=freeze(v, ncols),
-        u_inv=freeze(list(zip(*u_inv_t)), nrows),
+        v=freeze(v_t, ncols, transposed=True),
+        u_inv=freeze(u_inv_t, nrows, transposed=True),
         v_inv=freeze(v_inv, ncols),
     )
     result.verify()

@@ -57,6 +57,11 @@ def diagonal_matrix(diagonal, rows: int, cols: int) -> IntMatrix:
     )
 
 
+def identity(k: int) -> IntMatrix:
+    """The k x k identity matrix."""
+    return diagonal_matrix([1] * k, k, k)
+
+
 def _det(rows: list[list[int]]) -> int:
     """Cofactor expansion; fine for the k <= 6 minors used here."""
     k = len(rows)

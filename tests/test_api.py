@@ -29,6 +29,7 @@ def test_removed_names_are_gone():
         assert not hasattr(infgon, name)
         assert not hasattr(angulation, name)
     assert not hasattr(IntMatrix, "transpose")
+    assert not hasattr(IntMatrix, "identity")
     assert not hasattr(SnfResult, "invariant_factors")
     # D is stored as the `diagonal` field: no dense `d`, no `diagonal()` method
     assert "diagonal" in SnfResult.__dataclass_fields__

@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from infgon import cli
+from infgon import cli, k0
 from infgon.cli import main
 
 
@@ -421,6 +422,20 @@ def test_verify_text_output(capsys, monkeypatch):
     assert code == 0
     assert "classes=[1, 2, 3, 4]" in out
     assert out.rstrip().endswith("result: PASS")
+
+
+def test_verify_text_output_of_a_failure(capsys, monkeypatch):
+    monkeypatch.setenv("NO_COLOR", "1")
+    real = k0.k0_presentation
+    monkeypatch.setattr(
+        k0, "k0_presentation", lambda params, family: replace(real(params, family), free_rank=2)
+    )
+    code, out, _ = run(
+        capsys, "k0", "verify", "-n", "2", "--m", "4", "--format", "text"
+    )
+    assert code == 1
+    assert "violation: free rank is 2, expected 1\n" in out
+    assert out.endswith("result: FAIL\n")
 
 
 def test_verdict_is_colored_on_a_terminal_but_not_in_an_output_file(

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from infgon import IntMatrix, cokernel, smith_normal_form
-from oracles import diagonal_matrix, invariant_factors_oracle
+from oracles import diagonal_matrix, identity, invariant_factors_oracle
 
 
 # ------------------------------------------------------------- IntMatrix
@@ -33,6 +33,9 @@ def test_rejects_ragged_and_non_int():
         IntMatrix.from_rows([[1, 2.0]])
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[True, 0]])
+    # the first bad entry in row-major order is named
+    with pytest.raises(ValueError, match="got 2.5$"):
+        IntMatrix.from_rows([[1, 2.5], ["x", 3]])
     with pytest.raises(ValueError) as excinfo:
         IntMatrix.from_rows([["x" * 5000]])
     assert len(str(excinfo.value).splitlines()) == 1 and len(str(excinfo.value)) < 200
@@ -40,8 +43,8 @@ def test_rejects_ragged_and_non_int():
 
 def test_identity_and_mul():
     a = IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
-    assert IntMatrix.identity(3).mul(a) == a
-    assert a.mul(IntMatrix.identity(2)) == a
+    assert identity(3).mul(a) == a
+    assert a.mul(identity(2)) == a
     b = IntMatrix.from_rows([[0, 1], [1, 0]])
     assert a.mul(b).entries == ((2, 1), (4, 3), (6, 5))
     with pytest.raises(ValueError):
@@ -68,9 +71,9 @@ def test_snf_worked_example():
 
 
 def test_snf_identity_and_zero():
-    res = smith_normal_form(IntMatrix.identity(3))
+    res = smith_normal_form(identity(3))
     assert res.diagonal == (1, 1, 1)
-    assert cokernel(IntMatrix.identity(3)).invariant_factors == ()
+    assert cokernel(identity(3)).invariant_factors == ()
 
     res = smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]]))
     assert res.diagonal == (0, 0)
@@ -80,11 +83,11 @@ def test_snf_identity_and_zero():
 def test_snf_empty_shapes():
     res = smith_normal_form(IntMatrix.from_rows([], cols=3))
     assert res.rank == 0
-    assert res.v == IntMatrix.identity(3)
+    assert res.v == identity(3)
 
     res = smith_normal_form(IntMatrix.from_rows([[], []], cols=0))
     assert res.rank == 0
-    assert res.u == IntMatrix.identity(2)
+    assert res.u == identity(2)
 
 
 def test_snf_is_deterministic():
@@ -117,8 +120,8 @@ def test_snf_matches_minor_gcd_oracle(a):
     # the certificate the self-check accepted agrees with the dense oracles:
     # both inverses are two-sided and unimodular
     res.verify()
-    assert res.u.mul(res.u_inv) == res.u_inv.mul(res.u) == IntMatrix.identity(a.rows)
-    assert res.v.mul(res.v_inv) == res.v_inv.mul(res.v) == IntMatrix.identity(a.cols)
+    assert res.u.mul(res.u_inv) == res.u_inv.mul(res.u) == identity(a.rows)
+    assert res.v.mul(res.v_inv) == res.v_inv.mul(res.v) == identity(a.cols)
     assert abs(res.u_inv.determinant()) == abs(res.v_inv.determinant()) == 1
 
 
@@ -216,7 +219,7 @@ def test_verify_rejects_a_malformed_diagonal(diagonal, message):
 
 def test_verify_rejects_a_v_inverse_that_does_not_match_v():
     with pytest.raises(AssertionError, match="V is not unimodular"):
-        replace(GENUINE, v_inv=IntMatrix.identity(2)).verify()
+        replace(GENUINE, v_inv=identity(2)).verify()
     # a consistent pair that does not diagonalize A: only U * A = D * V^-1 fails
     w = IntMatrix.from_rows([[1, 1], [0, 1]])
     w_inv = IntMatrix.from_rows([[1, -1], [0, 1]])
@@ -227,7 +230,7 @@ def test_verify_rejects_a_v_inverse_that_does_not_match_v():
 def test_verify_rejects_transforms_of_the_wrong_shape():
     for field in ("u", "u_inv", "v", "v_inv"):
         with pytest.raises(AssertionError, match="wrong shape"):
-            replace(GENUINE, **{field: IntMatrix.identity(3)}).verify()
+            replace(GENUINE, **{field: identity(3)}).verify()
 
 
 @given(small_matrix(), st.sampled_from(["matrix", "u", "diagonal", "v", "u_inv", "v_inv"]),

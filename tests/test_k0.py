@@ -18,6 +18,7 @@ from infgon import (
     k0_presentation,
     verify_theorem,
 )
+from infgon import k0
 
 
 def canon(n, m):
@@ -190,6 +191,31 @@ def test_theorem_holds(n, m):
     assert report.invariant_factors == ()
     assert report.first_violation is None
     assert report.classes[0] == (1,)
+
+
+# forged presentations for n = 2, m = 4, whose arcs are
+# (1, 4), (-1, 4), (-1, 6), (-3, 6) with true classes 1, 2, 3, 4
+FORGERIES = [
+    (lambda pres: replace(pres, free_rank=2), "free rank is 2, expected 1"),
+    (lambda pres: replace(pres, invariant_factors=(2,)), "unexpected torsion [2]"),
+    (lambda pres: replace(pres, classes=((-1,),) + pres.classes[1:]),
+     "generator 1 = (1, 4) has class -1, expected 1"),
+    (lambda pres: replace(pres, classes=pres.classes[:2] + ((7,),) + pres.classes[3:]),
+     "generator 3 = (-1, 6) has class 7, expected 3"),
+]
+
+
+def forge_presentation(monkeypatch, edit):
+    real = k0.k0_presentation
+    monkeypatch.setattr(k0, "k0_presentation", lambda params, family: edit(real(params, family)))
+
+
+@pytest.mark.parametrize("edit,violation", FORGERIES)
+def test_theorem_reports_a_forged_presentation(monkeypatch, edit, violation):
+    forge_presentation(monkeypatch, edit)
+    report = verify_theorem(CategoryParams(2), 4)
+    assert report.passed is False
+    assert report.first_violation == violation
 
 
 def test_theorem_minimal_truncation_uses_one_relation():
