@@ -120,7 +120,22 @@ def validate_noncrossing(f: ArcFamily) -> tuple[Arc, Arc] | None:
 
     "First" means lexicographically smallest, each pair ordered internally,
     independent of the family's member order.
+
+    A sweep in (t, -u) order keeps the open arcs on a stack, each nested in
+    the one below.  An arc crosses some earlier arc exactly when, once the
+    arcs ending by its start are popped, the top ends strictly inside it.
+    So a non-crossing family costs one sort; only a crossing family pays
+    for the pairwise scan that finds the first pair.
     """
+    stack: list[Arc] = []
+    for a in sorted(f.arcs, key=lambda a: (a.t, -a.u)):
+        while stack and stack[-1].u <= a.t:
+            stack.pop()
+        if stack and a.t < stack[-1].u < a.u:
+            break
+        stack.append(a)
+    else:
+        return None
     worst: tuple[Arc, Arc] | None = None
     arcs = f.arcs
     for i in range(len(arcs)):

@@ -16,6 +16,12 @@ and V * V^-1 = I show that U and V are unimodular (an integer matrix with an
 integer inverse has determinant +-1), and U * A = D * V^-1 then gives
 U * A * V = D * V^-1 * V = D.  No determinant is needed.
 
+While the reduction runs, D and the four transforms are sparse rows (a dict
+from column to nonzero value), so a row update costs the nonzeros of its
+source row, not the width of the matrix.  The pivots and the elementary
+operations are the ones a dense elimination would make, in the same order,
+so the transforms are the same too; `SnfResult` holds them dense.
+
 Pivoting rule, owned by `_pivot`: at each step the entry of smallest nonzero
 absolute value in the remaining block is chosen, ties broken by lowest
 (row, col).  Together with the fixed reduction order this makes the output a
@@ -24,7 +30,7 @@ pure function of the input, which the rendering and CLI layers rely on.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain
 
@@ -164,20 +170,37 @@ class SnfResult:
         # D * V^-1: row i is d[i] times row i of V^-1, zero past the diagonal
         inv = self.v_inv.entries
         dv = (
-            [diag[i] * y for y in inv[i]] if i < len(diag) else [0] * cols
+            {j: diag[i] * y for j, y in enumerate(inv[i]) if y}
+            if i < len(diag) and diag[i] else {}
             for i in range(rows)
         )
         if not _product_is(self.u, self.matrix, dv):
             raise AssertionError("U * A != D * V^-1, so U * A * V != D")
 
 
-def _identity_rows(k: int) -> Iterator[list[int]]:
-    return ([1 if i == j else 0 for j in range(k)] for i in range(k))
+_Row = dict[int, int]  # column -> value of one sparse row; zeros are never stored
 
 
-def _add_row(rows: list[list[int]], dst: int, src: int, c: int) -> None:
-    """rows[dst] += c * rows[src]: every row combination of the reduction."""
-    rows[dst] = [x + c * y for x, y in zip(rows[dst], rows[src])]
+def _identity_rows(k: int) -> list[_Row]:
+    return [{i: 1} for i in range(k)]
+
+
+def _add_row(rows: list[_Row], dst: int, src: int, c: int) -> None:
+    """rows[dst] += c * rows[src] for c != 0: every row combination of the reduction.
+
+    Only the nonzeros of the source row are visited.  A sum that cancels is
+    deleted; a new entry c * y is never zero.
+    """
+    row = rows[dst]
+    for j, y in rows[src].items():
+        if j in row:
+            x = row[j] + c * y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+        else:
+            row[j] = c * y
 
 
 def _swap(seqs: Iterable[list], i: int, j: int) -> None:
@@ -185,37 +208,70 @@ def _swap(seqs: Iterable[list], i: int, j: int) -> None:
         s[i], s[j] = s[j], s[i]
 
 
-def _pivot(d: list[list[int]], k: int, ncols: int) -> tuple[int, int] | None:
-    """(row, col) of the pivot for step k, or None if the block from (k, k) is zero."""
+def _pivot(d: list[_Row], k: int) -> tuple[int, int] | None:
+    """(row, col) of the pivot for step k, or None if the block from (k, k) is zero.
+
+    Rows from k store only columns from k, so every stored entry there is a
+    candidate.  Dicts keep insertion order, so the lowest column is found by
+    comparing, not by position: the result is the first entry of least
+    absolute value in row-major order, and a row holding a unit ends the scan.
+    """
     best, where = 0, None
     for i in range(k, len(d)):
-        for j, x in enumerate(d[i][k:ncols], k):
-            if x:
-                x = -x if x < 0 else x
-                if x == 1:
-                    return i, j
-                if not best or x < best:
-                    best, where = x, (i, j)
+        low, col = 0, 0
+        for j, x in d[i].items():
+            x = -x if x < 0 else x
+            if not low or x < low or (x == low and j < col):
+                low, col = x, j
+        if low == 1:
+            return i, col
+        if low and (not best or low < best):
+            best, where = low, (i, col)
     return where
 
 
-def _product_is(a: IntMatrix, b: IntMatrix, want: Iterable[list[int]]) -> bool:
+def _product_is(a: IntMatrix, b: IntMatrix, want: Iterable[_Row]) -> bool:
     """Whether a * b equals `want`, visiting only pairs of nonzero entries.
 
-    `want` yields one list per row of a; shapes are the caller's to check.
-    Transforms of banded matrices are mostly zero, so this costs far less
-    than a dense product, and only one row of the product is held at a time.
+    `want` yields one sparse row per row of a; shapes are the caller's to
+    check.  Transforms of banded matrices are mostly zero, so this costs far
+    less than a dense product, and only one row of the product is held at a
+    time.
     """
     b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.entries]
+    width = b.cols
     for row, expected in zip(a.entries, want):
-        acc = [0] * b.cols
+        acc = [0] * width
         for k, x in enumerate(row):
             if x:
                 for j, y in b_rows[k]:
                     acc[j] += x * y
-        if acc != expected:
+        dense = [0] * width
+        for j, x in expected.items():
+            dense[j] = x
+        if acc != dense:
             return False
     return True
+
+
+def _freeze(rows: list[_Row], transposed: bool = False) -> IntMatrix:
+    """The dense square IntMatrix of sparse `rows` (or of their transpose).
+
+    The working rows are dropped once copied, so at most one dense copy is
+    doubled while it becomes tuples.
+    """
+    k = len(rows)
+    out = [[0] * k for _ in range(k)]
+    if transposed:
+        for i, row in enumerate(rows):
+            for j, x in row.items():
+                out[j][i] = x
+    else:
+        for dense, row in zip(out, rows):
+            for j, x in row.items():
+                dense[j] = x
+    rows.clear()
+    return IntMatrix(k, k, tuple(map(tuple, out)))
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
@@ -228,16 +284,28 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     column is added only once column k is d[k][k] * e_k, so on D it moves
     one entry.  Each pivot ends up positive and divides all entries of the
     remaining block, which gives the divisibility chain directly.
+
+    D and the four transforms are held as sparse rows while they change.
+    Rows above k hold only their diagonal entry, so a column swap touches
+    only the rows from k that store one of the two columns.  Clearing scans
+    rows and columns in ascending order, as a dense scan would.
     """
     nrows, ncols = a.rows, a.cols
-    d = [list(row) for row in a.entries]
-    u, u_inv_t = list(_identity_rows(nrows)), list(_identity_rows(nrows))
-    v_t, v_inv = list(_identity_rows(ncols)), list(_identity_rows(ncols))
+    d = [{j: x for j, x in enumerate(row) if x} for row in a.entries]
+    u, u_inv_t = _identity_rows(nrows), _identity_rows(nrows)
+    v_t, v_inv = _identity_rows(ncols), _identity_rows(ncols)
     by_row = (d, u, u_inv_t)  # what a row swap or sign flip moves
 
     def swap_cols(i: int, j: int) -> None:
-        # entries i and j of each row of D, rows i and j of V^T and V^-1
-        _swap((*d, v_t, v_inv), i, j)
+        # entries i and j of the rows of D from k, rows i and j of V^T and V^-1
+        for row in d[k:]:
+            if i in row or j in row:
+                x, y = row.pop(i, 0), row.pop(j, 0)
+                if y:
+                    row[i] = y
+                if x:
+                    row[j] = x
+        _swap((v_t, v_inv), i, j)
 
     def add_row(src: int, dst: int, c: int) -> None:
         # row[dst] += c * row[src]; the inverse subtracts column dst from src
@@ -248,12 +316,17 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     def add_col(src: int, dst: int, c: int) -> None:
         # col[dst] += c * col[src]; the inverse subtracts row dst from src.
         # Only called to clear row k, once column k is d[k][k] * e_k (src = k)
-        d[src][dst] += c * d[src][src]
+        row = d[src]
+        x = row[dst] + c * row[src]
+        if x:
+            row[dst] = x
+        else:
+            del row[dst]
         _add_row(v_t, dst, src, c)
         _add_row(v_inv, src, dst, -c)
 
     for k in range(min(nrows, ncols)):
-        where = _pivot(d, k, ncols)
+        where = _pivot(d, k)
         if where is None:
             break  # remaining block is zero; trailing diagonal stays zero
         if where[0] != k:
@@ -262,55 +335,58 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
             swap_cols(k, where[1])
         if d[k][k] < 0:
             for rows in by_row:
-                rows[k] = [-x for x in rows[k]]
+                rows[k] = {j: -x for j, x in rows[k].items()}
 
+        # A pass either leaves a smaller positive pivot or forces the next
+        # pass to, so a step ends within 2 * d[k][k] - 1 passes.  Two passes
+        # in a row without a drop mean the reduction broke that invariant.
+        last, stale = d[k][k], False
         while True:
             # clear column k; a nonzero remainder becomes a smaller pivot
             for i in range(k + 1, nrows):
-                x = d[i][k]
+                x = d[i].get(k)
                 if x:
                     q = x // d[k][k]
                     if q:
                         add_row(k, i, -q)
-                    if d[i][k]:
+                    if k in d[i]:
                         _swap(by_row, k, i)  # remainder is in (0, pivot)
                         break
             else:
                 # clear row k; column k stays clear because only columns > k move
-                for j in range(k + 1, ncols):
-                    x = d[k][j]
-                    if x:
-                        q = x // d[k][k]
-                        if q:
-                            add_col(k, j, -q)
-                        if d[k][j]:
-                            swap_cols(k, j)
-                            break
+                for j in sorted(j for j in d[k] if j > k):
+                    q = d[k][j] // d[k][k]
+                    if q:
+                        add_col(k, j, -q)
+                    if j in d[k]:
+                        swap_cols(k, j)
+                        break
                 else:
                     # force the pivot to divide the rest of the block
                     pivot = d[k][k]
                     if pivot == 1:
                         break  # 1 divides everything
                     for i in range(k + 1, nrows):
-                        if any(x % pivot for x in d[i][k + 1:]):
+                        # column k is clear, so these are the entries past it
+                        if any(x % pivot for x in d[i].values()):
                             add_row(i, k, 1)  # d[i][k] == 0, pivot unchanged
                             break
                     else:
                         break
-
-    def freeze(rows: list, width: int, transposed: bool = False) -> IntMatrix:
-        # drop each working copy once it is copied, so at most one is doubled
-        m = IntMatrix.from_rows(list(zip(*rows)) if transposed else rows, cols=width)
-        rows.clear()
-        return m
+            if 0 < d[k][k] < last:
+                last, stale = d[k][k], False
+            elif stale:
+                raise AssertionError(f"Smith reduction step {k} did not converge")
+            else:
+                stale = True
 
     result = SnfResult(
         matrix=a,
-        u=freeze(u, nrows),
-        diagonal=tuple(d[i][i] for i in range(min(nrows, ncols))),
-        v=freeze(v_t, ncols, transposed=True),
-        u_inv=freeze(u_inv_t, nrows, transposed=True),
-        v_inv=freeze(v_inv, ncols),
+        u=_freeze(u),
+        diagonal=tuple(d[i].get(i, 0) for i in range(min(nrows, ncols))),
+        v=_freeze(v_t, transposed=True),
+        u_inv=_freeze(u_inv_t, transposed=True),
+        v_inv=_freeze(v_inv),
     )
     result.verify()
     return result

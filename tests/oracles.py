@@ -106,3 +106,84 @@ def invariant_factors_oracle(entries: list[list[int]]) -> list[int]:
         factors.append(g_k // g_prev)
         g_prev = g_k
     return factors
+
+
+def dense_smith_oracle(a: IntMatrix):
+    """The Smith reduction on dense rows: (U, diagonal, V, U^-1, V^-1).
+
+    The same pivot rule and the same elementary operations, in the same
+    order, as `smith_normal_form`, but every working row is a full list.
+    The library must return exactly these transforms, entry for entry.
+    """
+    nrows, ncols = a.rows, a.cols
+
+    def eye(k):
+        return [[int(i == j) for j in range(k)] for i in range(k)]
+
+    def add(rows, dst, src, c):
+        rows[dst] = [x + c * y for x, y in zip(rows[dst], rows[src])]
+
+    def swap(seqs, i, j):
+        for s in seqs:
+            s[i], s[j] = s[j], s[i]
+
+    d = [list(row) for row in a.entries]
+    u, u_inv_t, v_t, v_inv = eye(nrows), eye(nrows), eye(ncols), eye(ncols)
+    by_row = (d, u, u_inv_t)
+
+    def add_row(src, dst, c):
+        add(d, dst, src, c)
+        add(u, dst, src, c)
+        add(u_inv_t, src, dst, -c)
+
+    def add_col(src, dst, c):
+        for row in d:
+            row[dst] += c * row[src]
+        add(v_t, dst, src, c)
+        add(v_inv, src, dst, -c)
+
+    def swap_cols(i, j):
+        swap((*d, v_t, v_inv), i, j)
+
+    for k in range(min(nrows, ncols)):
+        block = [(abs(d[i][j]), i, j) for i in range(k, nrows) for j in range(k, ncols) if d[i][j]]
+        if not block:
+            break
+        _, pi, pj = min(block)  # smallest |x|, then lowest (row, col)
+        swap(by_row, k, pi)
+        swap_cols(k, pj)
+        if d[k][k] < 0:
+            for rows in by_row:
+                rows[k] = [-x for x in rows[k]]
+        while True:
+            for i in range(k + 1, nrows):
+                if d[i][k]:
+                    q = d[i][k] // d[k][k]
+                    if q:
+                        add_row(k, i, -q)
+                    if d[i][k]:
+                        swap(by_row, k, i)
+                        break
+            else:
+                for j in range(k + 1, ncols):
+                    if d[k][j]:
+                        q = d[k][j] // d[k][k]
+                        if q:
+                            add_col(k, j, -q)
+                        if d[k][j]:
+                            swap_cols(k, j)
+                            break
+                else:
+                    pivot = d[k][k]
+                    bad = [i for i in range(k + 1, nrows) if any(x % pivot for x in d[i][k + 1:])]
+                    if pivot == 1 or not bad:
+                        break
+                    add_row(bad[0], k, 1)
+
+    return (
+        IntMatrix.from_rows(u, cols=nrows),
+        tuple(d[i][i] for i in range(min(nrows, ncols))),
+        IntMatrix.from_rows(list(zip(*v_t)), cols=ncols),
+        IntMatrix.from_rows(list(zip(*u_inv_t)), cols=nrows),
+        IntMatrix.from_rows(v_inv, cols=ncols),
+    )

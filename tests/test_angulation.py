@@ -1,7 +1,9 @@
 """Tests for arc families, non-crossing checks, completion, and the canonical family."""
 
+from itertools import combinations
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from infgon import (
@@ -17,7 +19,7 @@ from infgon import (
     parse_family,
     validate_noncrossing,
 )
-from oracles import addable_arcs, maximality_oracle
+from oracles import addable_arcs, crossing_oracle, maximality_oracle
 
 
 def fam(n, pairs):
@@ -127,6 +129,47 @@ def test_reported_pair_actually_crosses(n, t, i, j):
     if pair is not None:
         assert crosses(*pair)
         assert pair[0] < pair[1]
+
+
+@st.composite
+def nearly_noncrossing(draw):
+    """A greedily non-crossing family, then up to two arbitrary extra arcs.
+
+    The extras cross few members, so one crossing can hide among many
+    non-crossing pairs; without extras the family is non-crossing.
+    """
+    p = CategoryParams(draw(st.integers(1, 4)))
+    lo = draw(st.integers(-8, 8))
+    pool = enumerate_arcs(p, Window(lo, lo + 16))
+    arcs = []
+    for a in draw(st.lists(st.sampled_from(pool), unique=True, max_size=14)):
+        if not any(crossing_oracle(a, b) for b in arcs):
+            arcs.append(a)
+    for a in draw(st.lists(st.sampled_from(pool), unique=True, max_size=2)):
+        if a not in arcs:
+            arcs.append(a)
+    return ArcFamily(p, draw(st.permutations(arcs)))
+
+
+@given(nearly_noncrossing())
+@settings(max_examples=400, deadline=None)
+def test_noncrossing_verdict_matches_oracle_over_all_pairs(f):
+    pairs = combinations(f.arcs, 2)
+    bad = [(min(a, b), max(a, b)) for a, b in pairs if crossing_oracle(a, b)]
+    assert validate_noncrossing(f) == min(bad, default=None)
+
+
+@given(nearly_noncrossing())
+@settings(max_examples=200, deadline=None)
+def test_a_noncrossing_family_is_cleared_without_a_pairwise_scan(f):
+    assume(not any(crossing_oracle(a, b) for a, b in combinations(f.arcs, 2)))
+
+    def no_pairwise_scan(*_):
+        raise AssertionError("a non-crossing family must not reach the pairwise scan")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("infgon.angulation.crosses", no_pairwise_scan)
+        assert validate_noncrossing(f) is None
 
 
 # ------------------------------------------------------------ maximality

@@ -1,13 +1,27 @@
 """Tests for exact integer matrices, Smith normal form, and cokernels."""
 
+import random
 from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from infgon import IntMatrix, cokernel, smith_normal_form
-from oracles import diagonal_matrix, identity, invariant_factors_oracle
+from infgon import (
+    ArcFamily,
+    CategoryParams,
+    IntMatrix,
+    K0Basis,
+    Window,
+    ar_relations,
+    canonical_family,
+    cokernel,
+    complete_in_window,
+    crosses,
+    enumerate_arcs,
+    smith_normal_form,
+)
+from oracles import dense_smith_oracle, diagonal_matrix, identity, invariant_factors_oracle
 
 
 # ------------------------------------------------------------- IntMatrix
@@ -98,11 +112,11 @@ def test_snf_is_deterministic():
 
 
 @st.composite
-def small_matrix(draw):
-    rows = draw(st.integers(0, 6))
-    cols = draw(st.integers(0, 6))
+def small_matrix(draw, entry=st.integers(-9, 9), size=6):
+    rows = draw(st.integers(0, size))
+    cols = draw(st.integers(0, size))
     entries = [
-        [draw(st.integers(-9, 9)) for _ in range(cols)] for _ in range(rows)
+        [draw(entry) for _ in range(cols)] for _ in range(rows)
     ]
     return IntMatrix.from_rows(entries, cols=cols)
 
@@ -177,6 +191,57 @@ def test_snf_transforms_are_pinned(rows, u, v, u_inv, v_inv):
     res = smith_normal_form(IntMatrix.from_rows(rows))
     assert (res.u.entries, res.v.entries) == (u, v)
     assert (res.u_inv.entries, res.v_inv.entries) == (u_inv, v_inv)
+
+
+@pytest.mark.parametrize("rows,step", [([[2], [3]], 0), ([[1, 0], [0, 2], [0, 3]], 1)])
+def test_a_step_that_stops_converging_raises_instead_of_hanging(monkeypatch, rows, step):
+    # with row updates gone, a remainder row is swapped up and back forever.
+    # A 1 x 2 matrix would still end: D's column update needs no row kernel.
+    monkeypatch.setattr("infgon.intlinalg._add_row", lambda *_: None)
+    with pytest.raises(AssertionError, match=f"step {step} did not converge"):
+        smith_normal_form(IntMatrix.from_rows(rows))
+
+
+# ------------------------------------------- sparse rows vs dense oracle
+
+
+def _transforms(a):
+    res = smith_normal_form(a)
+    return res.u, res.diagonal, res.v, res.u_inv, res.v_inv
+
+
+@given(st.one_of(small_matrix(), small_matrix(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 7]), 8)))
+@settings(max_examples=400, deadline=None)
+def test_snf_transforms_match_the_dense_reduction(a):
+    assert _transforms(a) == dense_smith_oracle(a)
+
+
+def _relation_matrix(family):
+    relations = ar_relations(family.params, K0Basis(family))
+    return IntMatrix.from_rows([r.coefficients for r in relations], cols=len(family))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_canonical_transforms_match_the_dense_reduction(n):
+    for m in (2, 7, 40, 160):
+        a = _relation_matrix(canonical_family(CategoryParams(n), m))
+        assert _transforms(a) == dense_smith_oracle(a), m
+
+
+def test_window_transforms_match_the_dense_reduction():
+    rng = random.Random(20261018)
+    for _ in range(40):
+        p = CategoryParams(rng.randint(1, 5))
+        lo = rng.randint(-20, 20)
+        w = Window(lo, lo + rng.randint(2, 40))
+        pool = enumerate_arcs(p, w)
+        rng.shuffle(pool)
+        kept = []
+        for a in pool[: rng.randint(0, 8)]:
+            if all(not crosses(a, b) for b in kept):
+                kept.append(a)
+        a = _relation_matrix(complete_in_window(ArcFamily(p, kept), w))
+        assert _transforms(a) == dense_smith_oracle(a), (p, w)
 
 
 @given(st.lists(st.integers(-9, 9), min_size=4, max_size=4))
