@@ -16,11 +16,12 @@ and V * V^-1 = I show that U and V are unimodular (an integer matrix with an
 integer inverse has determinant +-1), and U * A = D * V^-1 then gives
 U * A * V = D * V^-1 * V = D.  No determinant is needed.
 
-While the reduction runs, D and the four transforms are sparse rows (a dict
-from column to nonzero value), so a row update costs the nonzeros of its
-source row, not the width of the matrix.  The pivots and the elementary
-operations are the ones a dense elimination would make, in the same order,
-so the transforms are the same too; `SnfResult` holds them dense.
+A matrix is stored by its nonzeros: `IntMatrix.terms` holds each row's
+(column, value) pairs.  The reduction copies them into dict rows, so a row
+update costs the nonzeros of its source row, not the width of the matrix,
+and `SnfResult` holds the transforms as terms again.  The pivots and the
+elementary operations are the ones a dense elimination would make, in the
+same order, so the transforms are the same too.
 
 Pivoting rule, owned by `_pivot`: at each step the entry of smallest nonzero
 absolute value in the remaining block is chosen, ties broken by lowest
@@ -37,64 +38,76 @@ from itertools import chain
 from .arcs import short_repr
 
 
+def _require_ints(values: Sequence[object]) -> None:
+    """Raise on the first value that is not an exact integer; bools are refused."""
+    wrong = {t for t in set(map(type, values)) if t is bool or not issubclass(t, int)}
+    if wrong:
+        x = next(x for x in values if type(x) in wrong)
+        raise ValueError(f"matrix entries must be exact integers, got {short_repr(x)}")
+
+
+def dense_row(terms: Iterable[tuple[int, int]], width: int) -> tuple[int, ...]:
+    """The dense row of `width` entries whose nonzeros are the (column, value) `terms`."""
+    row = [0] * width
+    for j, x in terms:
+        row[j] = x
+    return tuple(row)
+
+
 @dataclass(frozen=True)
 class IntMatrix:
-    """An immutable rectangular matrix of exact integers.
+    """An immutable rectangular matrix of exact integers, stored by its nonzeros.
 
-    Dimensions are stored explicitly so that matrices with zero rows or
-    columns round-trip cleanly.
+    `terms[i]` holds the (column, value) pairs of row i's nonzero entries in
+    ascending column order, so equal matrices have equal terms.  Dimensions
+    are stored explicitly so that matrices with zero rows or columns
+    round-trip cleanly.
     """
 
     rows: int
     cols: int
-    entries: tuple[tuple[int, ...], ...]
+    terms: tuple[tuple[tuple[int, int], ...], ...]
 
     def __post_init__(self) -> None:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if len(self.entries) != self.rows:
+        if len(self.terms) != self.rows:
             raise ValueError(
-                f"expected {self.rows} rows, got {len(self.entries)}"
+                f"expected {self.rows} rows, got {len(self.terms)}"
             )
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError(
-                    f"ragged matrix: expected {self.cols} columns, got {len(row)}"
-                )
-        types = set(map(type, chain.from_iterable(self.entries)))
-        wrong = {t for t in types if t is bool or not issubclass(t, int)}
-        if wrong:
-            x = next(x for x in chain.from_iterable(self.entries) if type(x) in wrong)
-            raise ValueError(f"matrix entries must be exact integers, got {short_repr(x)}")
+        for row in self.terms:
+            js, xs = zip(*row) if row else ((), ())
+            _require_ints(js + xs)
+            if list(js) != sorted(set(js)) or js and not 0 <= js[0] <= js[-1] < self.cols:
+                raise ValueError(f"columns must ascend in [0, {self.cols}), got {short_repr(js)}")
+            if 0 in xs:
+                raise ValueError("matrix terms must not store a zero")
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The dense rows, built on each access."""
+        return tuple(dense_row(row, self.cols) for row in self.terms)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: int | None = None) -> "IntMatrix":
-        if not rows:
-            if cols is None:
-                raise ValueError("cannot infer column count of an empty matrix")
-            return cls(0, cols, ())
-        width = len(rows[0])
+        width = len(rows[0]) if rows else cols
+        if width is None:
+            raise ValueError("cannot infer column count of an empty matrix")
         if cols is not None and cols != width:
             raise ValueError(f"declared {cols} columns but rows have {width}")
-        return cls(len(rows), width, tuple(tuple(r) for r in rows))
+        for row in rows:
+            if len(row) != width:
+                raise ValueError(f"ragged matrix: expected {width} columns, got {len(row)}")
+        _require_ints(tuple(chain.from_iterable(rows)))  # zeros too: 0.0 and False are refused
+        terms = tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+        return cls(len(rows), width, terms)
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}"
             )
-        ocols = other.cols
-        oent = other.entries
-        out = []
-        for row in self.entries:
-            acc = [0] * ocols
-            for k, x in enumerate(row):
-                if x:
-                    orow = oent[k]
-                    for j in range(ocols):
-                        acc[j] += x * orow[j]
-            out.append(tuple(acc))
-        return IntMatrix(self.rows, ocols, tuple(out))
+        return IntMatrix.from_rows([_row_times(row, other) for row in self.terms], cols=other.cols)
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -163,19 +176,21 @@ class SnfResult:
         ):
             if (t.rows, t.cols) != (k, k):
                 raise AssertionError(f"{name} has wrong shape")
-        if not _product_is(self.u, self.u_inv, _identity_rows(rows)):
-            raise AssertionError("U * U^-1 != I: U is not unimodular")
-        if not _product_is(self.v, self.v_inv, _identity_rows(cols)):
-            raise AssertionError("V * V^-1 != I: V is not unimodular")
         # D * V^-1: row i is d[i] times row i of V^-1, zero past the diagonal
-        inv = self.v_inv.entries
+        inv = self.v_inv.terms
         dv = (
-            {j: diag[i] * y for j, y in enumerate(inv[i]) if y}
-            if i < len(diag) and diag[i] else {}
+            {j: diag[i] * y for j, y in inv[i]} if i < len(diag) and diag[i] else {}
             for i in range(rows)
         )
-        if not _product_is(self.u, self.matrix, dv):
-            raise AssertionError("U * A != D * V^-1, so U * A * V != D")
+        # each product a * b is compared with `want` one row at a time
+        for a, b, want, failure in (
+            (self.u, self.u_inv, _identity_rows(rows), "U * U^-1 != I: U is not unimodular"),
+            (self.v, self.v_inv, _identity_rows(cols), "V * V^-1 != I: V is not unimodular"),
+            (self.u, self.matrix, dv, "U * A != D * V^-1, so U * A * V != D"),
+        ):
+            if any(tuple(_row_times(row, b)) != dense_row(w.items(), b.cols)
+                   for row, w in zip(a.terms, want)):
+                raise AssertionError(failure)
 
 
 _Row = dict[int, int]  # column -> value of one sparse row; zeros are never stored
@@ -193,14 +208,11 @@ def _add_row(rows: list[_Row], dst: int, src: int, c: int) -> None:
     """
     row = rows[dst]
     for j, y in rows[src].items():
-        if j in row:
-            x = row[j] + c * y
-            if x:
-                row[j] = x
-            else:
-                del row[j]
+        x = row.get(j, 0) + c * y
+        if x:
+            row[j] = x
         else:
-            row[j] = c * y
+            del row[j]
 
 
 def _swap(seqs: Iterable[list], i: int, j: int) -> None:
@@ -230,68 +242,49 @@ def _pivot(d: list[_Row], k: int) -> tuple[int, int] | None:
     return where
 
 
-def _product_is(a: IntMatrix, b: IntMatrix, want: Iterable[_Row]) -> bool:
-    """Whether a * b equals `want`, visiting only pairs of nonzero entries.
-
-    `want` yields one sparse row per row of a; shapes are the caller's to
-    check.  Transforms of banded matrices are mostly zero, so this costs far
-    less than a dense product, and only one row of the product is held at a
-    time.
-    """
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.entries]
-    width = b.cols
-    for row, expected in zip(a.entries, want):
-        acc = [0] * width
-        for k, x in enumerate(row):
-            if x:
-                for j, y in b_rows[k]:
-                    acc[j] += x * y
-        dense = [0] * width
-        for j, x in expected.items():
-            dense[j] = x
-        if acc != dense:
-            return False
-    return True
+def _row_times(row: Iterable[tuple[int, int]], b: IntMatrix) -> list[int]:
+    """The dense row `row` * b, visiting only pairs of nonzero entries."""
+    acc = [0] * b.cols
+    for k, x in row:
+        for j, y in b.terms[k]:
+            acc[j] += x * y
+    return acc
 
 
 def _freeze(rows: list[_Row], transposed: bool = False) -> IntMatrix:
-    """The dense square IntMatrix of sparse `rows` (or of their transpose).
+    """The square IntMatrix of sparse `rows` (or of their transpose).
 
-    The working rows are dropped once copied, so at most one dense copy is
-    doubled while it becomes tuples.
+    A transposed row fills in ascending order, since `rows` are read in
+    order.  The working rows are dropped once copied.
     """
     k = len(rows)
-    out = [[0] * k for _ in range(k)]
     if transposed:
+        out: list[list[tuple[int, int]]] = [[] for _ in range(k)]
         for i, row in enumerate(rows):
             for j, x in row.items():
-                out[j][i] = x
+                out[j].append((i, x))
+        terms = tuple(map(tuple, out))
     else:
-        for dense, row in zip(out, rows):
-            for j, x in row.items():
-                dense[j] = x
+        terms = tuple(tuple(sorted(row.items())) for row in rows)
     rows.clear()
-    return IntMatrix(k, k, tuple(map(tuple, out)))
+    return IntMatrix(k, k, terms)
 
 
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     """Smith normal form with transforms, entirely over exact integers.
 
     Elementary row operations are mirrored into U, column operations into V,
-    so U * A * V = D holds at every step by construction.  The inverse of
-    each operation is mirrored into U^-1 and V^-1 from the other side.  V
-    and U^-1 are kept transposed, so `_add_row` does every row update.  A
-    column is added only once column k is d[k][k] * e_k, so on D it moves
-    one entry.  Each pivot ends up positive and divides all entries of the
-    remaining block, which gives the divisibility chain directly.
+    so U * A * V = D holds at every step by construction, and their inverses
+    into U^-1 and V^-1.  Each pivot ends up positive and divides all entries
+    of the remaining block, which gives the divisibility chain directly.
 
-    D and the four transforms are held as sparse rows while they change.
-    Rows above k hold only their diagonal entry, so a column swap touches
-    only the rows from k that store one of the two columns.  Clearing scans
-    rows and columns in ascending order, as a dense scan would.
+    Rows of D above k hold only their diagonal entry, so a column swap
+    touches only the rows from k that store one of the two columns.
+    Clearing scans rows and columns in ascending order, as a dense scan
+    would.
     """
     nrows, ncols = a.rows, a.cols
-    d = [{j: x for j, x in enumerate(row) if x} for row in a.entries]
+    d = [dict(row) for row in a.terms]
     u, u_inv_t = _identity_rows(nrows), _identity_rows(nrows)
     v_t, v_inv = _identity_rows(ncols), _identity_rows(ncols)
     by_row = (d, u, u_inv_t)  # what a row swap or sign flip moves
@@ -428,17 +421,18 @@ def cokernel(a: IntMatrix) -> Cokernel:
     and then past the rank.  A free column of V is negated where the
     orientation of `Cokernel` needs it; D's column there is zero, so
     U * A * V = D still holds.  V is invertible, so every column has a
-    nonzero entry.
+    nonzero entry, and the first one met in row order sets its sign.
     """
     snf = smith_normal_form(a)
     rank = snf.rank
     torsion = [(i, x) for i, x in enumerate(snf.diagonal) if x > 1]
-    v = snf.v.entries
-    signs = [-1 if next(row[c] for row in v if row[c]) < 0 else 1 for c in range(rank, a.cols)]
-    flip = -1 in signs
+    signs: dict[int, int] = {}
+    for row in snf.v.terms:
+        for c, y in row:
+            signs.setdefault(c, -1 if y < 0 else 1)
+    free = [(c, signs[c]) for c in range(rank, a.cols)]
     classes = tuple(
-        tuple(row[i] % x for i, x in torsion)
-        + (tuple(s * y for s, y in zip(signs, row[rank:])) if flip else row[rank:])
-        for row in v
+        tuple(row.get(i, 0) % x for i, x in torsion) + tuple(s * row.get(c, 0) for c, s in free)
+        for row in map(dict, snf.v.terms)
     )
     return Cokernel(a.cols, tuple(x for _, x in torsion), a.cols - rank, classes)

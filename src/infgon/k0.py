@@ -4,7 +4,9 @@ The split group on a family is free on its member arcs.  Every almost-split
 triangle whose visible arcs all lie in the family folds into a higher-angle
 relation; collecting these relation vectors and reducing the quotient by
 Smith normal form yields invariant factors, a free rank, and an explicit
-class for each generator.
+class for each generator.  Relations are kept as their nonzero (generator,
+coefficient) pairs, the row format of `IntMatrix`, from the triangle that
+yields them to the matrix that `cokernel` reduces.
 
 For a finite truncation of the canonical staircase family these relations
 are exactly the ones needed to collapse the group to Z.  For an arbitrary
@@ -15,11 +17,12 @@ for such input are labeled "upper-bound presentation" and never claim more.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .angulation import ArcFamily, canonical_family, require_noncrossing
 from .arcs import Arc, CategoryParams, short_repr
-from .intlinalg import IntMatrix, cokernel
+from .intlinalg import IntMatrix, cokernel, dense_row
 from .quiver import ar_triangle, arrows_from
 
 
@@ -40,24 +43,35 @@ class K0Basis:
 
 @dataclass(frozen=True)
 class RelationVector:
-    """An integer relation on the basis, sign-normalized for dedup.
+    """An integer relation on `generators` basis elements, sign-normalized for dedup.
 
-    The first nonzero coefficient is positive; a relation and its negation
-    generate the same subgroup, so only the normal form is ever stored.
+    `terms` are the nonzero (generator, coefficient) pairs in ascending
+    order, the row format of `IntMatrix`.  The first coefficient is
+    positive; a relation and its negation generate the same subgroup, so
+    only the normal form is ever stored.
     """
 
-    coefficients: tuple[int, ...]
+    generators: int
+    terms: tuple[tuple[int, int], ...]
+
+    @property
+    def coefficients(self) -> tuple[int, ...]:
+        """The dense coefficient vector, built on each access."""
+        return dense_row(self.terms, self.generators)
 
     @classmethod
-    def normalized(cls, coefficients: list[int] | tuple[int, ...]) -> "RelationVector":
-        coeffs = tuple(coefficients)
-        for x in coeffs:
-            if x > 0:
-                break
-            if x < 0:
-                coeffs = tuple(-y for y in coeffs)
-                break
-        return cls(coeffs)
+    def normalized(cls, generators: int, terms: Iterable[tuple[int, int]]) -> "RelationVector":
+        kept = sorted((j, x) for j, x in terms if x)
+        if kept and kept[0][1] < 0:
+            kept = [(j, -x) for j, x in kept]
+        return cls(generators, tuple(kept))
+
+
+def _require_params(params: CategoryParams, family: ArcFamily) -> None:
+    if params != family.params:
+        raise ValueError(
+            f"parameter mismatch: n = {params.n} vs family n = {family.params.n}"
+        )
 
 
 def ar_relations(params: CategoryParams, basis: K0Basis) -> list[RelationVector]:
@@ -73,34 +87,28 @@ def ar_relations(params: CategoryParams, basis: K0Basis) -> list[RelationVector]
 
     The start arc of the first shape and the end arc of the second need not
     belong to the family; they are spliced away and never appear in the
-    vector.  The middle is never empty and never holds the anchor arc, so
-    every vector has a +-1 entry and none is zero.  For odd n the two shapes
+    vector.  The middle is distinct arcs, never empty and never the anchor,
+    so every vector has a +-1 entry and none is zero.  For odd n the two shapes
     can emit the same vector, so results are deduplicated.  Order: all
     end-shape relations in generator order, then all start-shape relations
-    in generator order.
+    in generator order.  Raises ValueError when `params` is not the family's.
     """
-    g = basis.size
+    _require_params(params, basis.family)
     index = basis.index
     diag = 1 + (-1) ** params.n  # 0 for odd n, 2 for even n
     shapes = (  # (middle of the triangle at the anchor arc, sign of its entries)
         (lambda end: ar_triangle(params, end).middle, (-1) ** (params.n + 1)),
         (lambda start: arrows_from(params, start), -1),
     )
-    out: list[RelationVector] = []
-    seen: set[tuple[int, ...]] = set()
+    out: dict[tuple[tuple[int, int], ...], RelationVector] = {}  # first of each, in order
     for middle_of, sign in shapes:
         for j, anchor in enumerate(basis.family.arcs):
             middle = middle_of(anchor)
             if all(m in index for m in middle):
-                vec = [0] * g
-                vec[j] = diag
-                for m in middle:
-                    vec[index[m]] += sign
-                rel = RelationVector.normalized(vec)
-                if rel.coefficients not in seen:
-                    seen.add(rel.coefficients)
-                    out.append(rel)
-    return out
+                terms = [(index[m], sign) for m in middle] + [(j, diag)]
+                rel = RelationVector.normalized(basis.size, terms)
+                out.setdefault(rel.terms, rel)
+    return list(out.values())
 
 
 def _classes_json(arcs: tuple[Arc, ...], classes: tuple[tuple[int, ...], ...]) -> dict:
@@ -141,15 +149,11 @@ def k0_presentation(params: CategoryParams, family: ArcFamily) -> K0Presentation
     only meaningful on non-crossing input).  The class map sends every
     relation vector to zero exactly.
     """
-    if params != family.params:
-        raise ValueError(
-            f"parameter mismatch: n = {params.n} vs family n = {family.params.n}"
-        )
+    _require_params(params, family)
     require_noncrossing(family)
     basis = K0Basis(family)
     relations = ar_relations(params, basis)
-    matrix = IntMatrix.from_rows([r.coefficients for r in relations], cols=basis.size)
-    coker = cokernel(matrix)
+    coker = cokernel(IntMatrix(len(relations), basis.size, tuple(r.terms for r in relations)))
     return K0Presentation(
         basis=basis,
         relations=tuple(relations),

@@ -55,6 +55,53 @@ def test_rejects_ragged_and_non_int():
     assert len(str(excinfo.value).splitlines()) == 1 and len(str(excinfo.value)) < 200
 
 
+def dense_rows(entry, size):
+    """(rows, cols): up to `size` rows of `cols` <= `size` entries drawn from `entry`."""
+    return st.integers(0, size).flatmap(lambda cols: st.tuples(
+        st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=size), st.just(cols)
+    ))
+
+
+@given(dense_rows(st.sampled_from([0, 0, 1, -1]) | st.integers(-10**30, 10**30), 6))
+def test_from_rows_keeps_exactly_the_nonzeros(drawn):
+    rows, cols = drawn
+    m = IntMatrix.from_rows(rows, cols=cols)
+    assert m.entries == tuple(map(tuple, rows))
+    assert m.terms == tuple(tuple((j, x) for j, x in enumerate(row) if x) for row in rows)
+    assert IntMatrix(m.rows, m.cols, m.terms) == m
+
+
+@given(dense_rows(st.sampled_from([0, 1]), 2), dense_rows(st.sampled_from([0, 1]), 2))
+def test_equality_and_hash_agree_with_dense_equality(a, b):
+    ma, mb = (IntMatrix.from_rows(rows, cols=cols) for rows, cols in (a, b))
+    dense_equal = (len(a[0]), a[1], a[0]) == (len(b[0]), b[1], b[0])
+    assert (ma == mb) == dense_equal
+    if dense_equal:
+        assert hash(ma) == hash(mb)
+
+
+@pytest.mark.parametrize("row", [
+    ((1, 2), (0, 1)),  # columns out of order
+    ((1, 2), (1, 3)),  # a repeated column
+    ((3, 1),),  # a column past cols
+    ((-1, 1),),
+    ((0, 0),),  # a stored zero
+    ((0, True),),
+    ((0, 1.0),),
+    ((True, 1),),
+    ((0.0, 1),),
+])
+def test_constructor_rejects_malformed_terms(row):
+    with pytest.raises(ValueError):
+        IntMatrix(1, 3, (row,))
+
+
+def test_from_rows_checks_the_zeros_it_drops():
+    for rows in ([[0.0]], [[0, False]]):
+        with pytest.raises(ValueError, match="exact integers"):
+            IntMatrix.from_rows(rows)
+
+
 def test_identity_and_mul():
     a = IntMatrix.from_rows([[1, 2], [3, 4], [5, 6]])
     assert identity(3).mul(a) == a

@@ -1,5 +1,6 @@
 """Tests for the Grothendieck group presentation and the rank-one theorem."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -12,8 +13,12 @@ from infgon import (
     CategoryParams,
     K0Basis,
     RelationVector,
+    Window,
     ar_relations,
     canonical_family,
+    complete_in_window,
+    crosses,
+    enumerate_arcs,
     expected_canonical_class,
     k0_presentation,
     verify_theorem,
@@ -30,10 +35,10 @@ def canon(n, m):
 
 
 def test_normalized_flips_leading_negative():
-    assert RelationVector.normalized([0, -2, 1]).coefficients == (0, 2, -1)
-    assert RelationVector.normalized([0, 2, -1]).coefficients == (0, 2, -1)
-    assert RelationVector.normalized([0, 0]).coefficients == (0, 0)
-    assert RelationVector.normalized([]).coefficients == ()
+    assert RelationVector.normalized(3, [(2, 1), (1, -2)]).coefficients == (0, 2, -1)
+    assert RelationVector.normalized(3, [(1, 2), (2, -1)]).coefficients == (0, 2, -1)
+    assert RelationVector.normalized(2, []).coefficients == (0, 0)
+    assert RelationVector.normalized(0, []).coefficients == ()
 
 
 # ------------------------------------------------------------ ar_relations
@@ -150,6 +155,58 @@ def test_presentation_rejects_params_mismatch():
     p3, f = canon(3, 4)
     with pytest.raises(ValueError, match="parameter mismatch"):
         k0_presentation(CategoryParams(2), f)
+
+
+@pytest.mark.parametrize("given_n,family_n", [(1, 3), (2, 4), (4, 2)])
+def test_relations_and_presentation_reject_the_same_params_mismatch(given_n, family_n):
+    # a family read with the wrong n used to give no relations at all
+    _, f = canon(family_n, 6)
+    message = f"^parameter mismatch: n = {given_n} vs family n = {family_n}$"
+    with pytest.raises(ValueError, match=message):
+        ar_relations(CategoryParams(given_n), K0Basis(f))
+    with pytest.raises(ValueError, match=message):
+        k0_presentation(CategoryParams(given_n), f)
+
+
+# ------------------------------------------------------------- symmetries
+
+
+def completed_window(seed):
+    """A seeded partial family completed inside a window: n <= 5, span <= 36."""
+    rng = random.Random(seed)
+    p = CategoryParams(rng.randint(1, 5))
+    lo = rng.randint(-20, 20)
+    w = Window(lo, lo + rng.randint(2, 36))
+    pool = enumerate_arcs(p, w)
+    rng.shuffle(pool)
+    kept = []
+    for a in pool[: rng.randint(0, 8)]:
+        if all(not crosses(a, b) for b in kept):
+            kept.append(a)
+    return complete_in_window(ArcFamily(p, kept), w)
+
+
+def presentations(seed, move):
+    """The presentation of a completed window and of its image under `move`, members in order."""
+    f = completed_window(seed)
+    g = ArcFamily(f.params, [move(a) for a in f.arcs])
+    return k0_presentation(f.params, f), k0_presentation(g.params, g)
+
+
+@given(st.integers(0, 2**32), st.integers(-1000, 1000))
+@settings(max_examples=80, deadline=None)
+def test_translating_every_arc_changes_nothing(seed, s):
+    a, b = presentations(seed, lambda arc: Arc(arc.t + s, arc.u + s))
+    assert len(a.relations) == len(b.relations)
+    assert (a.invariant_factors, a.free_rank) == (b.invariant_factors, b.free_rank)
+    assert a.classes == b.classes
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_reflecting_every_arc_keeps_the_group(seed):
+    a, b = presentations(seed, lambda arc: Arc(-arc.u, -arc.t))
+    assert (a.invariant_factors, a.free_rank) == (b.invariant_factors, b.free_rank)
 
 
 def test_presentation_json_shape():
