@@ -7,12 +7,17 @@ window-local surrogate: a family is certified maximal *inside a window*
 when no admissible arc within that window can be added without a crossing.
 That certificate is exhaustively checkable and is all the CLI ever claims.
 
+Completion and the certificate share one greedy scan over the window's
+admissible arcs in (t, u) order.  Two lists indexed by window point make
+each candidate's crossing test O(1); keeping an arc costs its length.
+
 Also here: the canonical staircase family used throughout the tests (its
 members alternately widen to the right and to the left).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -124,27 +129,43 @@ def validate_noncrossing(f: ArcFamily) -> tuple[Arc, Arc] | None:
     A sweep in (t, -u) order keeps the open arcs on a stack, each nested in
     the one below.  An arc crosses some earlier arc exactly when, once the
     arcs ending by its start are popped, the top ends strictly inside it.
-    So a non-crossing family costs one sort; only a crossing family pays
-    for the pairwise scan that finds the first pair.
+    So a non-crossing family costs one sort.  A crossing family also pays
+    for `_first_crossing_pair`, which costs O(m log m) more.
     """
     stack: list[Arc] = []
     for a in sorted(f.arcs, key=lambda a: (a.t, -a.u)):
         while stack and stack[-1].u <= a.t:
             stack.pop()
         if stack and a.t < stack[-1].u < a.u:
-            break
+            return _first_crossing_pair(sorted(f.arcs))
         stack.append(a)
-    else:
-        return None
-    worst: tuple[Arc, Arc] | None = None
-    arcs = f.arcs
-    for i in range(len(arcs)):
-        for j in range(i + 1, len(arcs)):
-            if crosses(arcs[i], arcs[j]):
-                pair = (min(arcs[i], arcs[j]), max(arcs[i], arcs[j]))
-                if worst is None or pair < worst:
-                    worst = pair
-    return worst
+    return None
+
+
+def _first_crossing_pair(arcs: list[Arc]) -> tuple[Arc, Arc]:
+    """The lexicographically first crossing pair (x, y), x < y, of sorted arcs.
+
+    An arc y > x crosses x exactly when x.t < y.t < x.u < y.u.  The arcs
+    starting in (x.t, x.u) are one slice of the sorted list, so x crosses a
+    larger arc when the greatest right end in that slice exceeds x.u.  A
+    sparse table answers that range maximum in O(1).  x is the first arc
+    that passes; y is the first arc of its slice that crosses it.
+    """
+    starts = [a.t for a in arcs]
+    # ends[k][i]: the greatest right end among arcs[i : i + 2**k]
+    ends = [[a.u for a in arcs]]
+    half = 1
+    while 2 * half <= len(arcs):
+        prev = ends[-1]
+        ends.append([max(p, q) for p, q in zip(prev, prev[half:])])
+        half *= 2
+    for x in arcs:
+        i, j = bisect_right(starts, x.t), bisect_left(starts, x.u)
+        if i < j:
+            k = (j - i).bit_length() - 1
+            if max(ends[k][i], ends[k][j - (1 << k)]) > x.u:
+                return x, next(arcs[q] for q in range(i, j) if crosses(x, arcs[q]))
+    raise AssertionError("the sweep found a crossing that the slice scan misses")
 
 
 def require_noncrossing(f: ArcFamily) -> None:
@@ -162,14 +183,35 @@ def _greedy_additions(f: ArcFamily, w: Window) -> Iterator[Arc]:
     it, so the first arc yielded is the smallest arc addable to f.  The
     preconditions (every member inside w, f non-crossing) are checked on
     the first step and raise ValueError.
+
+    Each candidate's crossing test is O(1).  A candidate (t, u) crosses a
+    kept arc (a, b) when a < t < b < u or t < a < u < b.  For the first
+    case, `right[p]` holds the least right end of a kept arc with
+    a < p < b, and the test is u > right[t].  Each kept arc lowers `right`
+    over its inside, which leaves out its own start, so an arc kept in row
+    t (it shares the endpoint t with every candidate of the row) blocks
+    nothing in that row.  In the second case the arc starts after t, and
+    every arc kept during the scan starts at or before t, so only members
+    of f count: `left[p]` holds the greatest left end of a member with
+    a < p < b, never changes, and the test is left[u] > t.
     """
     require_inside(w, f.arcs)
     require_noncrossing(f)
-    kept = list(f.arcs)
+    lo = w.lo
+    right = [w.hi + 1] * (w.span + 1)
+    left = [lo - 1] * (w.span + 1)
+    for a in f.arcs:
+        for p in range(a.t + 1 - lo, a.u - lo):
+            right[p] = min(right[p], a.u)
+            left[p] = max(left[p], a.t)
     for cand in enumerate_arcs(f.params, w):
-        if cand not in f and not any(crosses(cand, a) for a in kept):
-            kept.append(cand)
-            yield cand
+        t, u = cand.t, cand.u
+        if u > right[t - lo] or left[u - lo] > t or cand in f:
+            continue
+        for p in range(t + 1 - lo, u - lo):
+            if right[p] > u:
+                right[p] = u
+        yield cand
 
 
 def is_maximal_in_window(f: ArcFamily, w: Window) -> Arc | None:

@@ -49,6 +49,21 @@ def maximality_oracle(family, w: Window):
     return min(extra) if extra else None
 
 
+def greedy_completion_oracle(family, w: Window) -> list[Arc]:
+    """The arcs greedy completion adds, scanning every kept arc per candidate.
+
+    Candidates come in (t, u) order; one is kept when it is not a member and
+    crosses no member and no arc kept before it.
+    """
+    kept = list(family.arcs)
+    out = []
+    for cand in brute_force_arcs(family.params, w):
+        if cand not in family.arcs and not any(crossing_oracle(cand, a) for a in kept):
+            kept.append(cand)
+            out.append(cand)
+    return out
+
+
 def diagonal_matrix(diagonal, rows: int, cols: int) -> IntMatrix:
     """The rows x cols matrix with `diagonal` down its main diagonal, else zero."""
     return IntMatrix.from_rows(

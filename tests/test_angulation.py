@@ -19,7 +19,7 @@ from infgon import (
     parse_family,
     validate_noncrossing,
 )
-from oracles import addable_arcs, crossing_oracle, maximality_oracle
+from oracles import addable_arcs, crossing_oracle, greedy_completion_oracle, maximality_oracle
 
 
 def fam(n, pairs):
@@ -172,6 +172,13 @@ def test_a_noncrossing_family_is_cleared_without_a_pairwise_scan(f):
         assert validate_noncrossing(f) is None
 
 
+def test_first_crossing_pair_among_20000_arcs():
+    # 19 999 nested arcs (-k, k) and one short arc crossing exactly one of them
+    arcs = [Arc(-k, k) for k in range(1, 20000)] + [Arc(10000, 10002)]
+    f = ArcFamily(CategoryParams(1), reversed(arcs))
+    assert validate_noncrossing(f) == (Arc(-10001, 10001), Arc(10000, 10002))
+
+
 # ------------------------------------------------------------ maximality
 
 
@@ -261,6 +268,60 @@ def test_completion_appends_in_lex_order():
     # original prefix kept, new arcs appended smallest-first
     assert done.arcs[0] == Arc(1, 3)
     assert list(done.arcs[1:]) == sorted(done.arcs[1:])
+
+
+# each case exercises one branch of the greedy scan's O(1) crossing test
+GREEDY_CASES = [
+    # (0, 2) is blocked by the member (1, 3), which starts inside it and
+    # ends beyond it
+    (1, [(1, 3)], (0, 4), (0, 3), [(0, 3), (0, 4)]),
+    # (1, 4) is blocked by the member (0, 3), which ends inside it
+    (2, [(0, 3)], (0, 4), None, []),
+    # (0, 5) shares its right end with the member (2, 5), then its left
+    # end with the member (0, 3)
+    (2, [(2, 5)], (0, 5), (0, 5), [(0, 5)]),
+    (2, [(0, 3)], (0, 5), (0, 5), [(0, 5)]),
+    # nested members: (0, 2), (0, 3) and (0, 4) each cross one of them,
+    # (0, 5) lies between (0, 6) and (1, 5)
+    (1, [(0, 6), (1, 5), (2, 4)], (0, 6), (0, 5), [(0, 5), (1, 4)]),
+    # candidates ending at w.hi: (0, 3) is added, (1, 3) is blocked
+    (1, [(1, 3)], (0, 3), (0, 3), [(0, 3)]),
+    (1, [(0, 2)], (0, 3), (0, 3), [(0, 3)]),
+]
+
+
+@pytest.mark.parametrize("n, members, window, witness, added", GREEDY_CASES)
+def test_greedy_scan_pinned_cases(n, members, window, witness, added):
+    f = fam(n, members)
+    w = Window(*window)
+    expected = [Arc(t, u) for t, u in added]
+    assert greedy_completion_oracle(f, w) == expected
+    assert list(complete_in_window(f, w).arcs[len(f) :]) == expected
+    assert is_maximal_in_window(f, w) == (witness and Arc(*witness))
+
+
+@st.composite
+def shuffled_family_in_window(draw):
+    """A non-crossing family from up to 20 picks, its members shuffled."""
+    p = CategoryParams(draw(st.integers(1, 5)))
+    lo = draw(st.integers(-10, 10))
+    w = Window(lo, lo + draw(st.integers(2, 40)))
+    pool = enumerate_arcs(p, w)
+    picks = draw(st.lists(st.sampled_from(pool), max_size=20, unique=True)) if pool else []
+    kept = []
+    for a in picks:
+        if not any(crossing_oracle(a, b) for b in kept):
+            kept.append(a)
+    return ArcFamily(p, draw(st.permutations(kept))), w
+
+
+@given(shuffled_family_in_window())
+@settings(max_examples=200, deadline=None)
+def test_greedy_scan_matches_the_pairwise_oracle(fw):
+    f, w = fw
+    added = greedy_completion_oracle(f, w)
+    assert complete_in_window(f, w).arcs == f.arcs + tuple(added)
+    assert is_maximal_in_window(f, w) == (added[0] if added else None)
 
 
 # --------------------------------------------------------- canonical family
