@@ -7,9 +7,12 @@ window-local surrogate: a family is certified maximal *inside a window*
 when no admissible arc within that window can be added without a crossing.
 That certificate is exhaustively checkable and is all the CLI ever claims.
 
-Completion and the certificate share one greedy scan over the window's
-admissible arcs in (t, u) order.  Two lists indexed by window point make
-each candidate's crossing test O(1); keeping an arc costs its length.
+Completion and the certificate share one greedy scan over the integer
+pairs (t, u) of the window's admissible arcs, in (t, u) order.  Two lists
+indexed by window point make each crossing test O(1).  Each row t is cut
+at the least right end of a kept arc over t, since every candidate past it
+crosses that arc, and only an arc the scan keeps is built as an `Arc`.
+Keeping an arc costs its length.
 
 Also here: the canonical staircase family used throughout the tests (its
 members alternately widen to the right and to the left).
@@ -27,9 +30,10 @@ from .arcs import (
     Window,
     arc_text,
     crosses,
-    enumerate_arcs,
+    minimal_length,
     require_admissible,
     require_inside,
+    require_window_within_limit,
     short_repr,
 )
 
@@ -181,20 +185,25 @@ def _greedy_additions(f: ArcFamily, w: Window) -> Iterator[Arc]:
 
     A candidate is kept when it crosses neither f nor any arc kept before
     it, so the first arc yielded is the smallest arc addable to f.  The
-    preconditions (every member inside w, f non-crossing) are checked on
-    the first step and raise ValueError.
+    preconditions (w holds at most MAX_WINDOW_ARCS arcs, every member
+    inside w, f non-crossing) are checked on the first step and raise
+    ValueError.
 
-    Each candidate's crossing test is O(1).  A candidate (t, u) crosses a
-    kept arc (a, b) when a < t < b < u or t < a < u < b.  For the first
-    case, `right[p]` holds the least right end of a kept arc with
-    a < p < b, and the test is u > right[t].  Each kept arc lowers `right`
-    over its inside, which leaves out its own start, so an arc kept in row
-    t (it shares the endpoint t with every candidate of the row) blocks
-    nothing in that row.  In the second case the arc starts after t, and
-    every arc kept during the scan starts at or before t, so only members
-    of f count: `left[p]` holds the greatest left end of a member with
+    The scan walks integer pairs row by row and builds an `Arc` only for
+    an arc it yields.  A candidate (t, u) crosses a kept arc (a, b) when
+    a < t < b < u or t < a < u < b.  For the first case, `right[p]` holds
+    the least right end of a kept arc with a < p < b, and the candidate
+    crosses exactly when u > right[t].  Each kept arc lowers `right` over
+    its inside, which leaves out its own start, so an arc kept in row t
+    (it shares the endpoint t with every candidate of the row) leaves
+    right[t] alone.  So right[t] is fixed for the whole row, and the row
+    stops at min(right[t], w.hi) with no loss: everything past that bound
+    crosses.  In the second case the arc starts after t, and every arc
+    kept during the scan starts at or before t, so only members of f
+    count: `left[p]` holds the greatest left end of a member with
     a < p < b, never changes, and the test is left[u] > t.
     """
+    require_window_within_limit(f.params, w)
     require_inside(w, f.arcs)
     require_noncrossing(f)
     lo = w.lo
@@ -204,14 +213,16 @@ def _greedy_additions(f: ArcFamily, w: Window) -> Iterator[Arc]:
         for p in range(a.t + 1 - lo, a.u - lo):
             right[p] = min(right[p], a.u)
             left[p] = max(left[p], a.t)
-    for cand in enumerate_arcs(f.params, w):
-        t, u = cand.t, cand.u
-        if u > right[t - lo] or left[u - lo] > t or cand in f:
-            continue
-        for p in range(t + 1 - lo, u - lo):
-            if right[p] > u:
-                right[p] = u
-        yield cand
+    members = {(a.t, a.u) for a in f.arcs}
+    step, shortest = f.params.n, minimal_length(f.params)
+    for t in range(lo, w.hi - 1):
+        for u in range(t + shortest, min(right[t - lo], w.hi) + 1, step):
+            if left[u - lo] > t or (t, u) in members:
+                continue
+            for p in range(t + 1 - lo, u - lo):
+                if right[p] > u:
+                    right[p] = u
+            yield Arc(t, u)
 
 
 def is_maximal_in_window(f: ArcFamily, w: Window) -> Arc | None:

@@ -176,12 +176,46 @@ def component_index(params: CategoryParams, a: Arc) -> int:
     return a.t % params.n
 
 
+MAX_WINDOW_ARCS = 2_000_000
+"""The most admissible arcs a window may hold for enumeration or the greedy scan.
+
+At n = 1 the widest window allowed has span 2000.  Past the limit
+`enumerate_arcs`, window completion and the window-maximality check raise
+ValueError before allocating anything: every arc costs an object, and
+5 * 10**9 of them (n = 1, span 10**5) would exhaust memory.
+"""
+
+
+def window_arc_count(params: CategoryParams, w: Window) -> int:
+    """The number of admissible arcs inside w, in closed form.
+
+    Lengths d = d0 + kn for k = 0..K each fit span + 1 - d times, so the
+    count is (K + 1)(span + 1 - d0) - nK(K + 1)/2.
+    """
+    d0 = minimal_length(params)
+    if w.span < d0:
+        return 0
+    k = (w.span - d0) // params.n
+    return (k + 1) * (w.span + 1 - d0) - params.n * k * (k + 1) // 2
+
+
+def require_window_within_limit(params: CategoryParams, w: Window) -> None:
+    """Raise ValueError when w holds more than MAX_WINDOW_ARCS admissible arcs."""
+    if window_arc_count(params, w) > MAX_WINDOW_ARCS:
+        raise ValueError(
+            f"window [{short_repr(w.lo)}, {short_repr(w.hi)}] holds more than "
+            f"{MAX_WINDOW_ARCS} {short_repr(params.n)}-admissible arcs"
+        )
+
+
 def enumerate_arcs(params: CategoryParams, w: Window) -> list[Arc]:
     """All admissible arcs lying inside the window, in (t, u) order.
 
     Admissible lengths form the arithmetic progression starting at the
     minimal length with step n, so the scan is linear in the output size.
+    A window holding more than MAX_WINDOW_ARCS arcs raises ValueError.
     """
+    require_window_within_limit(params, w)
     out: list[Arc] = []
     shortest = minimal_length(params)
     for t in range(w.lo, w.hi - 1):

@@ -287,6 +287,18 @@ GREEDY_CASES = [
     # candidates ending at w.hi: (0, 3) is added, (1, 3) is blocked
     (1, [(1, 3)], (0, 3), (0, 3), [(0, 3)]),
     (1, [(0, 2)], (0, 3), (0, 3), [(0, 3)]),
+    # (1, 3) = (1, right[1]) is the only arc of row 1 that the member alone
+    # allows, but (0, 2) is kept first and cuts row 1 at 2
+    (1, [(0, 3)], (0, 4), (0, 2), [(0, 2), (0, 4)]),
+    # right[1] is not on row 1's stride: at n = 2 the row is cut at 7 and
+    # tries 4 and 6; at n = 3 it is cut at 10 and tries 5 and 8, and the
+    # crossing (1, 11) ends at w.hi past the cut
+    (2, [(0, 7), (1, 6)], (0, 7), (1, 4), [(1, 4)]),
+    (3, [(0, 10), (1, 8)], (0, 11), (1, 5), [(1, 5)]),
+    # a member ends at w.hi, so right[2] = w.hi
+    (1, [(1, 4)], (0, 4), (0, 4), [(0, 4), (1, 3)]),
+    # a member starts at w.lo (index 0 of right and left) and lo is not 0
+    (2, [(2, 7)], (2, 9), (2, 5), [(2, 5), (2, 9)]),
 ]
 
 
@@ -322,6 +334,41 @@ def test_greedy_scan_matches_the_pairwise_oracle(fw):
     added = greedy_completion_oracle(f, w)
     assert complete_in_window(f, w).arcs == f.arcs + tuple(added)
     assert is_maximal_in_window(f, w) == (added[0] if added else None)
+
+
+@given(shuffled_family_in_window(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_completion_less_one_arc_matches_the_oracle(fw, data):
+    f, w = fw
+    done = complete_in_window(f, w).arcs
+    assume(done)
+    i = data.draw(st.integers(0, len(done) - 1))
+    g = ArcFamily(f.params, done[:i] + done[i + 1 :])
+    # the removed arc crosses nothing left, so something is added
+    added = greedy_completion_oracle(g, w)
+    assert is_maximal_in_window(g, w) == maximality_oracle(g, w) == added[0]
+    assert complete_in_window(g, w).arcs == g.arcs + tuple(added)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_the_scan_builds_an_arc_only_for_an_arc_it_adds(monkeypatch, n):
+    built = []
+
+    def counting_arc(t, u):
+        built.append((t, u))
+        return Arc(t, u)
+
+    def no_enumeration(*_):
+        raise AssertionError("the scan must not enumerate the window's arcs")
+
+    monkeypatch.setattr("infgon.angulation.Arc", counting_arc)
+    monkeypatch.setattr("infgon.angulation.enumerate_arcs", no_enumeration, raising=False)
+    w = Window(0, 30)
+    done = complete_in_window(ArcFamily(CategoryParams(n), []), w)
+    assert len(built) == len(done) > 0
+    built.clear()
+    assert is_maximal_in_window(done, w) is None
+    assert built == []
 
 
 # --------------------------------------------------------- canonical family

@@ -19,6 +19,7 @@ from infgon import (
     tau,
     tau_inverse,
 )
+from infgon.arcs import MAX_WINDOW_ARCS, window_arc_count
 from oracles import brute_force_arcs, crossing_oracle
 
 
@@ -182,3 +183,22 @@ def test_enumerate_matches_brute_force(n, lo, span):
     assert len(got) == len(set(got))
     for a in got:
         assert w.contains_arc(a)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_window_arc_count_is_the_enumerated_count(n):
+    p = CategoryParams(n)
+    for lo in (-7, 0, 3):
+        for span in range(1, 40):
+            w = Window(lo, lo + span)
+            assert window_arc_count(p, w) == len(enumerate_arcs(p, w))
+
+
+def test_oversized_window_is_refused_before_enumeration():
+    # span 2000 at n = 1 is the widest window under the limit
+    p = CategoryParams(1)
+    assert window_arc_count(p, Window(0, 2000)) <= MAX_WINDOW_ARCS
+    assert window_arc_count(p, Window(0, 2001)) > MAX_WINDOW_ARCS
+    for hi in (2001, 10**12):
+        with pytest.raises(ValueError, match=f"holds more than {MAX_WINDOW_ARCS} 1-admissible"):
+            enumerate_arcs(p, Window(0, hi))

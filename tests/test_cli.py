@@ -126,6 +126,7 @@ HUGE = "1" + "0" * 4200  # just under the 4300-digit limit of int() and json
         ("arcs", "validate", "-n", "2", "--json", f"[[0, {HUGE}]]"),
         ("arcs", "validate", "-n", "2", "--json", f"[[{HUGE}, 0]]"),
         ("arcs", "enumerate", "-n", "2", "--window", HUGE, "0"),
+        ("arcs", "enumerate", "-n", "2", "--window", "0", HUGE),
         ("k0", "verify", "-n", "2", "--m", "-" + HUGE),
         ("family", "canonical", "-n", "2", "--m", "-" + HUGE),
         ("quiver", "window", "-n", "2", "--component", "0", "--trange", "0", "4",
@@ -133,7 +134,8 @@ HUGE = "1" + "0" * 4200  # just under the 4300-digit limit of int() and json
         ("quiver", "window", "-n", "2", "--component", HUGE, "--trange", "0", "4",
          "--depth", "2"),
     ],
-    ids=["inadmissible", "unordered", "window", "verify-m", "canonical-m", "depth", "component"],
+    ids=["inadmissible", "unordered", "window", "oversized-window", "verify-m", "canonical-m",
+         "depth", "component"],
 )
 def test_huge_endpoint_is_not_echoed_whole(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -144,6 +146,22 @@ def test_huge_endpoint_is_not_echoed_whole(capsys, argv):
     # carries two of them (an endpoint and the length) and runs to 243
     assert len(err) < 250
     assert HUGE[:81] not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("arcs", "enumerate", "-n", "1", "--window", "0", "1000000000000"),
+        ("angulation", "complete", "-n", "1", "--json", "[]", "--window", "0", "1000000000000"),
+        ("angulation", "check", "-n", "1", "--json", "[]", "--window", "0", "1000000000000"),
+    ],
+    ids=["enumerate", "complete", "check"],
+)
+def test_oversized_window_exits_2_before_any_work(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: window [0, 1000000000000] holds more than 2000000 1-admissible arcs\n"
 
 
 # -------------------------------------------------------- process boundary
