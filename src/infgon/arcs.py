@@ -101,9 +101,6 @@ class Window:
     def contains_arc(self, a: Arc) -> bool:
         return self.lo <= a.t and a.u <= self.hi
 
-    def contains_point(self, p: int) -> bool:
-        return self.lo <= p <= self.hi
-
 
 def require_inside(w: Window, arcs: Iterable[Arc]) -> None:
     """Raise ValueError naming the first arc that does not lie inside w."""

@@ -33,10 +33,6 @@ class K0Basis:
     family: ArcFamily
 
     @property
-    def index(self) -> dict[Arc, int]:
-        return self.family.index
-
-    @property
     def size(self) -> int:
         return len(self.family.arcs)
 
@@ -94,7 +90,7 @@ def ar_relations(params: CategoryParams, basis: K0Basis) -> list[RelationVector]
     in generator order.  Raises ValueError when `params` is not the family's.
     """
     _require_params(params, basis.family)
-    index = basis.index
+    index = basis.family.index
     diag = 1 + (-1) ** params.n  # 0 for odd n, 2 for even n
     shapes = (  # (middle of the triangle at the anchor arc, sign of its entries)
         (lambda end: ar_triangle(params, end).middle, (-1) ** (params.n + 1)),

@@ -1,11 +1,12 @@
 """Mesh combinatorics on admissible arcs.
 
 The admissible arcs split into n components indexed by t mod n, each shaped
-like a half-infinite grid.  Irreducible maps either stretch the right
-endpoint up by n or pull the left endpoint up by n, and each arc is the end
-term of one almost-split triangle whose middle has one or two summands.
-This module computes those arrows and triangles and extracts finite windows
-of the grid for inspection, rendering, and tests.
+like a half-infinite grid.  Irreducible maps go from (t, u) to (t, u + n)
+and, while that arc is admissible, to (t + n, u): one rule on integer pairs.
+Each arc is the end term of one almost-split triangle whose middle has one
+or two summands.  This module computes those arrows and triangles and
+extracts finite windows of the grid, generated as pairs in (t, u) order,
+for inspection, rendering, and tests.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .arcs import (
     CategoryParams,
     Window,
     _require_int,
-    minimal_length,
     require_admissible,
     short_repr,
     tau,
@@ -30,17 +30,19 @@ def row_index(params: CategoryParams, a: Arc) -> int:
     return (a.length - 1) // params.n
 
 
-def arrows_from(params: CategoryParams, a: Arc) -> list[Arc]:
-    """Targets of the irreducible arrows out of an arc.
-
-    (t, u + n) is always admissible; (t + n, u) only when the shortened arc
-    still has length at least 2.  Order is fixed for determinism.
-    """
-    require_admissible(params, a)
-    targets = [Arc(a.t, a.u + params.n)]
-    if a.u - a.t - params.n >= 2:
-        targets.append(Arc(a.t + params.n, a.u))
+def _arrow_targets(n: int, t: int, u: int) -> list[tuple[int, int]]:
+    # (t, u + n) is always admissible; (t + n, u) only when the shortened
+    # arc still has length at least 2.  Order is fixed for determinism.
+    targets = [(t, u + n)]
+    if u - t - n >= 2:
+        targets.append((t + n, u))
     return targets
+
+
+def arrows_from(params: CategoryParams, a: Arc) -> list[Arc]:
+    """Targets of the irreducible arrows out of an arc, in a fixed order."""
+    require_admissible(params, a)
+    return [Arc(t, u) for t, u in _arrow_targets(params.n, a.t, a.u)]
 
 
 @dataclass(frozen=True)
@@ -72,11 +74,8 @@ class QuiverWindow:
     nodes: tuple[Arc, ...]
     arrows: tuple[tuple[Arc, Arc], ...]
 
-    def node_index(self) -> dict[Arc, int]:
-        return {a: i for i, a in enumerate(self.nodes)}
-
     def to_json_dict(self) -> dict:
-        index = self.node_index()
+        index = {a: i for i, a in enumerate(self.nodes)}
         return {
             "component": self.component,
             "nodes": [a.to_json() for a in self.nodes],
@@ -107,19 +106,13 @@ def quiver_window(
     if _require_int(depth, "depth") < 1:
         raise ValueError(f"depth must be an integer >= 1, got {short_repr(depth)}")
 
-    nodes: list[Arc] = []
+    nodes: dict[tuple[int, int], Arc] = {}  # t ascending, then u: (t, u) order
     first = t_range.lo + (component - t_range.lo) % n
     for t in range(first, t_range.hi + 1, n):
-        for row in range(1, depth + 1):
-            u = t + row * n + 1
-            if columns is not None and not columns.contains_point(t + u):
-                continue
-            nodes.append(Arc(t, u))
-    nodes.sort()
-    node_set = set(nodes)
+        for u in range(t + n + 1, t + depth * n + 2, n):  # rows 1..depth
+            if columns is None or columns.lo <= t + u <= columns.hi:
+                nodes[t, u] = Arc(t, u)
     arrows = [
-        (a, b) for a in nodes for b in arrows_from(params, a) if b in node_set
+        (a, nodes[b]) for (t, u), a in nodes.items() for b in _arrow_targets(n, t, u) if b in nodes
     ]
-    return QuiverWindow(
-        params=params, component=component, nodes=tuple(nodes), arrows=tuple(arrows)
-    )
+    return QuiverWindow(params, component, tuple(nodes.values()), tuple(arrows))

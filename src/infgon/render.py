@@ -16,10 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .angulation import ArcFamily
-from .arcs import Arc, Window, require_inside
+from .arcs import Arc, Window, require_inside, short_repr
 from .quiver import QuiverWindow, row_index
 
 _MARGIN = 36  # blank border on every side of the canvas
+
+MAX_DIAGRAM_POINTS = 2001
+"""The most window points `arc_diagram_svg` draws, a span of 2000.  Each point
+costs a circle and a label, about 120 bytes, so a wider window raises
+ValueError before anything is built."""
 
 _STYLE = (
     ".baseline{stroke:#444;stroke-width:1.5;fill:none}"
@@ -73,8 +78,14 @@ def arc_diagram_svg(f: ArcFamily, w: Window, opts: RenderOptions = RenderOptions
 
     Vertices are the integers of the window on a baseline with dashed
     continuation stubs at both ends; each arc is a single semicircular path
-    whose height grows with u - t.  Arcs must lie inside the window.
+    whose height grows with u - t.  Arcs must lie inside the window, which
+    may hold at most MAX_DIAGRAM_POINTS points.
     """
+    if w.span >= MAX_DIAGRAM_POINTS:
+        raise ValueError(
+            f"window [{short_repr(w.lo)}, {short_repr(w.hi)}] has more than "
+            f"{MAX_DIAGRAM_POINTS} points to draw"
+        )
     require_inside(w, f.arcs)
     highlight = set(opts.highlight)
     inner = opts.width - 2 * _MARGIN
@@ -136,20 +147,16 @@ def quiver_svg(qw: QuiverWindow, opts: RenderOptions = RenderOptions()) -> str:
     if not qw.nodes:
         raise ValueError("cannot render an empty quiver window")
     highlight = set(opts.highlight)
-    params = qw.params
     xs = [a.t + a.u for a in qw.nodes]
-    rows = [row_index(params, a) for a in qw.nodes]
+    rows = [row_index(qw.params, a) for a in qw.nodes]
     x_lo, x_hi = min(xs), max(xs)
     r_lo, r_hi = min(rows), max(rows)
     inner_w = opts.width - 2 * _MARGIN
     inner_h = opts.height - 2 * _MARGIN
     sx = inner_w / max(x_hi - x_lo, 1)
     sy = inner_h / max(r_hi - r_lo, 1)
-
-    def pos(a: Arc) -> tuple[float, float]:
-        x = _MARGIN + (a.t + a.u - x_lo) * sx
-        y = _MARGIN + (r_hi - row_index(params, a)) * sy
-        return x, y
+    places = [(_MARGIN + (x - x_lo) * sx, _MARGIN + (r_hi - r) * sy) for x, r in zip(xs, rows)]
+    pos = dict(zip(qw.nodes, places))
 
     parts = _svg_open(opts)
     parts.append(
@@ -159,8 +166,8 @@ def quiver_svg(qw: QuiverWindow, opts: RenderOptions = RenderOptions()) -> str:
     )
     radius = 3.5
     for s, t in qw.arrows:
-        x1, y1 = pos(s)
-        x2, y2 = pos(t)
+        x1, y1 = pos[s]
+        x2, y2 = pos[t]
         dx, dy = x2 - x1, y2 - y1
         norm = (dx * dx + dy * dy) ** 0.5 or 1.0
         trim = radius + 2.0
@@ -170,15 +177,13 @@ def quiver_svg(qw: QuiverWindow, opts: RenderOptions = RenderOptions()) -> str:
             f'<line class="arrow" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
             f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" marker-end="url(#arrowhead)"/>'
         )
-    for a in qw.nodes:
-        x, y = pos(a)
+    for a, (x, y) in zip(qw.nodes, places):
         cls = "node highlight" if a in highlight else "node"
         parts.append(
             f'<circle class="{cls}" cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}"/>'
         )
     if opts.labels:
-        for a in qw.nodes:
-            x, y = pos(a)
+        for a, (x, y) in zip(qw.nodes, places):
             parts.append(
                 f'<text class="node-label" x="{_fmt(x)}" y="{_fmt(y - 7)}">'
                 f"({a.t},{a.u})</text>"

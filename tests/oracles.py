@@ -31,6 +31,33 @@ def brute_force_arcs(params: CategoryParams, w: Window) -> list[Arc]:
     return out
 
 
+def quiver_window_oracle(params: CategoryParams, component: int, t_range: Window, depth: int,
+                         columns: Window | None = None):
+    """(nodes, arrows) of a quiver window, from a scan of every endpoint pair.
+
+    Nodes are the admissible arcs with t in t_range, t = component mod n,
+    row (u - t - 1) / n <= depth and, given `columns`, t + u in that band, in
+    (t, u) order.  Arrows follow the mesh rule: (t, u) -> (t, u + n) and
+    (t, u) -> (t + n, u), each kept when the target is admissible and a node.
+    """
+    n = params.n
+    nodes = []
+    for t in range(t_range.lo, t_range.hi + 1):
+        for u in range(t + 1, t + (depth + 1) * n + 2):
+            a = Arc(t, u)
+            if (is_admissible(params, a) and t % n == component and (u - t - 1) // n <= depth
+                    and (columns is None or columns.lo <= t + u <= columns.hi)):
+                nodes.append(a)
+    node_set = set(nodes)
+    arrows = [
+        (a, b)
+        for a in nodes
+        for b in (Arc(a.t, a.u + n), Arc(a.t + n, a.u))
+        if is_admissible(params, b) and b in node_set
+    ]
+    return tuple(nodes), tuple(arrows)
+
+
 def addable_arcs(family, w: Window) -> list[Arc]:
     """All admissible arcs in the window that extend the family crossing-free."""
     members = set(family.arcs)

@@ -9,10 +9,13 @@ import infgon
 from infgon import (
     Cokernel,
     IntMatrix,
+    K0Basis,
     K0Presentation,
+    QuiverWindow,
     RelationVector,
     RenderOptions,
     SnfResult,
+    Window,
     angulation,
 )
 
@@ -42,6 +45,9 @@ def test_removed_names_are_gone():
     assert not hasattr(K0Presentation, "project")
     assert not hasattr(K0Presentation, "class_of")
     assert not hasattr(RenderOptions, "margin")
+    assert not hasattr(K0Basis, "index")
+    assert not hasattr(QuiverWindow, "node_index")
+    assert not hasattr(Window, "contains_point")
 
 
 def test_readme_library_example():

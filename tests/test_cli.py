@@ -133,9 +133,11 @@ HUGE = "1" + "0" * 4200  # just under the 4300-digit limit of int() and json
          "--depth", "-" + HUGE),
         ("quiver", "window", "-n", "2", "--component", HUGE, "--trange", "0", "4",
          "--depth", "2"),
+        ("render", "arcs", "-n", "1", "--json", "[[0,2]]", "--window", "0", "1000000000000"),
+        ("render", "arcs", "-n", "1", "--json", "[[0,2]]", "--window", "0", HUGE),
     ],
     ids=["inadmissible", "unordered", "window", "oversized-window", "verify-m", "canonical-m",
-         "depth", "component"],
+         "depth", "component", "render-window", "render-huge-window"],
 )
 def test_huge_endpoint_is_not_echoed_whole(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -530,6 +532,17 @@ def test_render_quiver_no_labels_to_stdout(capsys):
     assert err == ""
     assert 'class="node-label"' not in out
     assert out.endswith("</svg>\n")
+
+
+def test_render_arcs_refuses_an_oversized_window_and_writes_no_file(capsys, tmp_path):
+    target = tmp_path / "fig.svg"
+    code, out, err = run(
+        capsys, "render", "arcs", "-n", "1", "--json", "[[0,2]]",
+        "--window", "0", "1000000000000", "-o", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: window [0, 1000000000000] has more than 2001 points to draw\n"
+    assert not target.exists()
 
 
 def test_render_arcs_rejects_window_that_misses_the_family(capsys):

@@ -62,11 +62,6 @@ def test_relations_n2_m3_frozen():
     assert [r.coefficients for r in rels] == [(2, -1, 0), (1, -2, 1)]
 
 
-def test_basis_index_is_the_family_index():
-    _, f = canon(3, 6)
-    assert K0Basis(f).index is f.index
-
-
 def test_relations_singleton_family():
     p, f = canon(3, 1)
     assert ar_relations(p, K0Basis(f)) == []

@@ -1,7 +1,7 @@
 """Mesh structure: irreducible arrows, almost-split triangles, windows."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infgon import (
@@ -18,6 +18,7 @@ from infgon import (
     tau,
     tau_inverse,
 )
+from oracles import quiver_window_oracle
 
 
 @st.composite
@@ -135,6 +136,27 @@ def test_quiver_window_mesh_counts():
     qw = quiver_window(p3, 2, Window(-7, 8), 4)
     for a in qw.nodes:
         assert len(arrows_from(p3, a)) == (1 if row_index(p3, a) == 1 else 2)
+
+
+@st.composite
+def window_spec(draw):
+    n = draw(st.integers(1, 6))
+    lo = draw(st.integers(-60, 60))
+    t_range = Window(lo, lo + draw(st.integers(1, 40)))
+    depth = draw(st.integers(1, 9))
+    columns = None
+    if draw(st.booleans()):
+        # t + u of the window's nodes lies in [2 lo + n + 1, 2 hi + depth n + 1]
+        c = draw(st.integers(2 * t_range.lo - 5, 2 * t_range.hi + depth * n + 5))
+        columns = Window(c, c + draw(st.integers(1, 60)))
+    return CategoryParams(n), draw(st.integers(0, n - 1)), t_range, depth, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_spec())
+def test_quiver_window_matches_the_oracle(spec):
+    qw = quiver_window(*spec)
+    assert (qw.nodes, qw.arrows) == quiver_window_oracle(*spec)
 
 
 def test_quiver_window_rejects_bad_arguments():

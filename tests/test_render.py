@@ -15,6 +15,7 @@ from infgon import (
     quiver_svg,
     quiver_window,
 )
+from infgon.render import MAX_DIAGRAM_POINTS
 
 
 def tagged(svg):
@@ -91,6 +92,15 @@ def test_empty_family_still_draws_the_window():
     svg = arc_diagram_svg(ArcFamily(CategoryParams(2), []), Window(0, 4))
     assert count(svg, "path", "arc") == 0
     assert count(svg, "circle", "vertex") == 5
+
+
+def test_arc_diagram_refuses_a_window_past_the_point_limit():
+    family = ArcFamily(CategoryParams(1), [Arc(0, 2)])
+    largest = Window(0, MAX_DIAGRAM_POINTS - 1)
+    assert count(arc_diagram_svg(family, largest), "circle", "vertex") == MAX_DIAGRAM_POINTS
+    for hi in (MAX_DIAGRAM_POINTS, 10**12):
+        with pytest.raises(ValueError, match=f"more than {MAX_DIAGRAM_POINTS} points to draw"):
+            arc_diagram_svg(family, Window(0, hi))
 
 
 # ---------------------------------------------------------- quiver windows
