@@ -30,6 +30,7 @@ from .arcs import (
     suspend,
     tau,
     tau_inverse,
+    window_pairs,
 )
 from .intlinalg import Cokernel, IntMatrix, SnfResult, cokernel, smith_normal_form
 from .k0 import (
@@ -96,5 +97,6 @@ __all__ = [
     "tau_inverse",
     "validate_noncrossing",
     "verify_theorem",
+    "window_pairs",
     "__version__",
 ]

@@ -13,7 +13,7 @@ operation ever rounds or truncates.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 
@@ -177,9 +177,10 @@ MAX_WINDOW_ARCS = 2_000_000
 """The most admissible arcs a window may hold for enumeration or the greedy scan.
 
 At n = 1 the widest window allowed has span 2000.  Past the limit
-`enumerate_arcs`, window completion and the window-maximality check raise
-ValueError before allocating anything: every arc costs an object, and
-5 * 10**9 of them (n = 1, span 10**5) would exhaust memory.
+`window_pairs`, `enumerate_arcs`, window completion and the window-maximality
+check raise ValueError before allocating anything: a window of n = 1, span
+10**5 holds 5 * 10**9 arcs, hours of work even as streamed pairs, and far
+more memory than a machine has as `Arc` objects.
 """
 
 
@@ -205,17 +206,26 @@ def require_window_within_limit(params: CategoryParams, w: Window) -> None:
         )
 
 
+def window_pairs(params: CategoryParams, w: Window) -> Iterator[tuple[int, int]]:
+    """The admissible arcs inside the window as (t, u) pairs, lazily, in (t, u) order.
+
+    Admissible lengths form the arithmetic progression starting at the
+    minimal length with step n, so the scan is linear in the output size and
+    builds no `Arc`.  The MAX_WINDOW_ARCS check runs here, on the call, so a
+    window that is too large raises ValueError before the first pair is
+    asked for.
+    """
+    require_window_within_limit(params, w)
+    shortest = minimal_length(params)
+    return (
+        (t, u) for t in range(w.lo, w.hi - 1) for u in range(t + shortest, w.hi + 1, params.n)
+    )
+
+
 def enumerate_arcs(params: CategoryParams, w: Window) -> list[Arc]:
     """All admissible arcs lying inside the window, in (t, u) order.
 
-    Admissible lengths form the arithmetic progression starting at the
-    minimal length with step n, so the scan is linear in the output size.
-    A window holding more than MAX_WINDOW_ARCS arcs raises ValueError.
+    The `Arc` form of `window_pairs`: a window holding more than
+    MAX_WINDOW_ARCS arcs raises ValueError before any arc is built.
     """
-    require_window_within_limit(params, w)
-    out: list[Arc] = []
-    shortest = minimal_length(params)
-    for t in range(w.lo, w.hi - 1):
-        for u in range(t + shortest, w.hi + 1, params.n):
-            out.append(Arc(t, u))
-    return out
+    return [Arc(t, u) for t, u in window_pairs(params, w)]

@@ -138,18 +138,38 @@ class K0Presentation:
         }
 
 
+MAX_CLASS_CELLS = 4_000_000
+"""The most cells a presentation's class table may have: generators times rank.
+
+The table has one row per generator and one column per invariant factor or
+free coordinate, so it has at least g * (g - |R|) cells for g generators
+and |R| relations: the rank is at most |R|.  `k0_presentation` refuses a
+family past this bound with ValueError before reducing anything.  A family
+of 2000 disjoint arcs, with no relations, sits at the bound and prints
+36 MB of JSON; the largest table of the benchmark's present-windows jobs
+has 159 * 158 cells, about 160 times below it.
+"""
+
+
 def k0_presentation(params: CategoryParams, family: ArcFamily) -> K0Presentation:
     """Present the quotient group of a non-crossing family.
 
     Raises ValueError when the family crosses itself (the construction is
-    only meaningful on non-crossing input).  The class map sends every
-    relation vector to zero exactly.
+    only meaningful on non-crossing input), and when its class table would
+    exceed MAX_CLASS_CELLS.  The class map sends every relation vector to
+    zero exactly.
     """
     _require_params(params, family)
     require_noncrossing(family)
     basis = K0Basis(family)
     relations = ar_relations(params, basis)
-    coker = cokernel(IntMatrix(len(relations), basis.size, tuple(r.terms for r in relations)))
+    g, rels = basis.size, len(relations)
+    if g * (g - rels) > MAX_CLASS_CELLS:
+        raise ValueError(
+            f"{g} generators with {rels} relations give a class table of at least "
+            f"{g * (g - rels)} cells, more than {MAX_CLASS_CELLS}"
+        )
+    coker = cokernel(IntMatrix(rels, g, tuple(r.terms for r in relations)))
     return K0Presentation(
         basis=basis,
         relations=tuple(relations),

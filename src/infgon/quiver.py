@@ -65,6 +65,16 @@ def ar_triangle(params: CategoryParams, end: Arc) -> ArTriangle:
     return ArTriangle(start=start, middle=tuple(arrows_from(params, start)), end=end)
 
 
+MAX_QUIVER_NODES = 200_000
+"""The most (t, u) pairs `quiver_window` may scan: t values times depth.
+
+The count (t-span // n + 1) * depth is known in closed form, so a larger
+window raises ValueError before any node is built.  A drawn node costs
+about 300 bytes of SVG, so the limit keeps `render quiver` near 60 MB; it
+is ten times the 20 000-node ceiling of the benchmark's quiver jobs.
+"""
+
+
 @dataclass(frozen=True)
 class QuiverWindow:
     """A finite rectangle of one quiver component, with the arrows inside it."""
@@ -96,6 +106,7 @@ def quiver_window(
     position of a node in the standard grid drawing) to a closed band; this
     is how a printed picture of the quiver is cropped along its diagonal
     edges.  Nodes are ordered by (t, u) and arrows pair included nodes only.
+    A window scanning more than MAX_QUIVER_NODES pairs raises ValueError.
     """
     n = params.n
     if not 0 <= _require_int(component, "component") < n:
@@ -105,6 +116,11 @@ def quiver_window(
         )
     if _require_int(depth, "depth") < 1:
         raise ValueError(f"depth must be an integer >= 1, got {short_repr(depth)}")
+    if (t_range.span // n + 1) * depth > MAX_QUIVER_NODES:
+        raise ValueError(
+            f"quiver window t in [{short_repr(t_range.lo)}, {short_repr(t_range.hi)}] "
+            f"to depth {short_repr(depth)} scans more than {MAX_QUIVER_NODES} nodes"
+        )
 
     nodes: dict[tuple[int, int], Arc] = {}  # t ascending, then u: (t, u) order
     first = t_range.lo + (component - t_range.lo) % n

@@ -19,7 +19,7 @@ from infgon import (
     tau,
     tau_inverse,
 )
-from infgon.arcs import MAX_WINDOW_ARCS, window_arc_count
+from infgon.arcs import MAX_WINDOW_ARCS, window_arc_count, window_pairs
 from oracles import brute_force_arcs, crossing_oracle
 
 
@@ -179,6 +179,7 @@ def test_enumerate_matches_brute_force(n, lo, span):
     w = Window(lo, lo + span)
     got = enumerate_arcs(p, w)
     assert got == brute_force_arcs(p, w)
+    assert list(window_pairs(p, w)) == [(a.t, a.u) for a in got]
     assert got == sorted(got)
     assert len(got) == len(set(got))
     for a in got:
@@ -202,3 +203,6 @@ def test_oversized_window_is_refused_before_enumeration():
     for hi in (2001, 10**12):
         with pytest.raises(ValueError, match=f"holds more than {MAX_WINDOW_ARCS} 1-admissible"):
             enumerate_arcs(p, Window(0, hi))
+        # on the call, not when the first pair is asked for
+        with pytest.raises(ValueError, match=f"holds more than {MAX_WINDOW_ARCS} 1-admissible"):
+            window_pairs(p, Window(0, hi))

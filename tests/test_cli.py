@@ -1,16 +1,20 @@
 """End-to-end tests of the command line: exit codes, JSON shapes, files."""
 
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from infgon import cli, k0
+from infgon import Arc, CategoryParams, Window, cli, enumerate_arcs, k0
 from infgon.cli import main
 
 
@@ -166,6 +170,29 @@ def test_oversized_window_exits_2_before_any_work(capsys, argv):
     assert err == "error: window [0, 1000000000000] holds more than 2000000 1-admissible arcs\n"
 
 
+@pytest.mark.parametrize("command", [("quiver", "window"), ("render", "quiver")])
+def test_oversized_quiver_window_exits_2_before_any_work(capsys, tmp_path, command):
+    target = tmp_path / "out"
+    code, out, err = run(
+        capsys, *command, "-n", "1", "--component", "0", "--trange", "0", "1000000000000",
+        "--depth", "1", "-o", str(target),
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: quiver window t in [0, 1000000000000] to depth 1 scans more than 200000 nodes\n"
+    )
+    assert not target.exists()
+
+
+def test_oversized_class_table_exits_2_and_writes_no_file(capsys, tmp_path):
+    target = tmp_path / "out.json"
+    disjoint = json.dumps({"n": 1, "arcs": [[3 * i, 3 * i + 2] for i in range(2001)]})
+    code, out, err = run(capsys, "k0", "present", "--json", disjoint, "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 2001 generators with 0 relations") and err.count("\n") == 1
+    assert not target.exists()
+
+
 # -------------------------------------------------------- process boundary
 
 
@@ -209,6 +236,67 @@ def test_enumerate_text(capsys):
     )
     assert code == 0
     assert out == "(0, 2)\n(0, 3)\n(1, 3)\n"
+
+
+def arc_list_report(n, lo, hi, fmt):
+    """The report as it was written from the whole list of `Arc`s."""
+    arcs = enumerate_arcs(CategoryParams(n), Window(lo, hi))
+    if fmt == "text":
+        return "".join(f"({a.t}, {a.u})\n" for a in arcs)
+    report = {"n": n, "window": [lo, hi], "count": len(arcs), "arcs": [a.to_json() for a in arcs]}
+    return json.dumps(report, indent=2) + "\n"
+
+
+@given(
+    st.integers(1, 8), st.integers(-50, 50), st.integers(1, 40),
+    st.sampled_from(["json", "text"]), st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_enumerate_streams_the_arc_list_report(n, lo, span, fmt, to_file):
+    # spans below n + 1 (2 at n = 1) hold no arc: "arcs": [] and empty text
+    argv = ["arcs", "enumerate", "-n", str(n), "--window", str(lo), str(lo + span), "--format", fmt]
+    with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()) as out:
+        target = Path(d) / "out"
+        code = main(argv + ["-o", str(target)] if to_file else argv)
+        written = target.read_bytes().decode("utf-8") if target.exists() else None
+    want = arc_list_report(n, lo, lo + span, fmt)
+    assert code == 0
+    assert (out.getvalue(), written) == (("", want) if to_file else (want, None))
+
+
+def test_enumerate_builds_no_arc(capsys, monkeypatch):
+    want = {fmt: arc_list_report(2, 0, 40, fmt) for fmt in ("json", "text")}
+    built = []
+    check = Arc.__post_init__
+
+    def counting(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(Arc, "__post_init__", counting)
+    for fmt, report in want.items():
+        code, out, _ = run(capsys, "arcs", "enumerate", "-n", "2", "--window", "0", "40",
+                           "--format", fmt)
+        assert (code, out) == (0, report)
+    assert built == []
+    # the patch does see every arc the list form builds
+    assert len(enumerate_arcs(CategoryParams(2), Window(0, 40))) == len(built) > 0
+
+
+def test_enumerate_writes_a_large_window_in_few_writes(monkeypatch):
+    class CountingOut(io.StringIO):
+        writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            return super().write(text)
+
+    out = CountingOut()
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["arcs", "enumerate", "-n", "1", "--window", "0", "300"]) == 0
+    report = json.loads(out.getvalue())
+    assert report["count"] == len(report["arcs"]) == 44850
+    assert out.writes <= 24
 
 
 # ----------------------------------------------------------- quiver window

@@ -89,6 +89,11 @@ CASES = [
     ("usage-bad-integer", ["arcs", "enumerate", "-n", "x", "--window", "0", "3"]),
     # input errors raised by the handlers
     ("input-canonical-and-json", ["k0", "present", "--canonical", "6", "--json", "[]"]),
+    # the streamed enumeration: a window with no arc, and a refused one that
+    # writes nothing and creates no file
+    ("empty-arcs-enumerate", ["arcs", "enumerate", "-n", "3", "--window", "0", "3"]),
+    ("refused-arcs-enumerate",
+     ["arcs", "enumerate", "-n", "1", "--window", "0", "2001", "-o", "out.json"]),
 ]
 
 

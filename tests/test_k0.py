@@ -126,6 +126,27 @@ def test_presentation_orientation_is_stable():
         assert k0_presentation(p, f).classes[0] == (1,)
 
 
+def test_class_table_past_its_bound_is_refused_before_the_reduction(monkeypatch):
+    def reduction(*_):
+        raise LookupError("reduction reached")
+
+    monkeypatch.setattr(k0, "cokernel", reduction)
+    p = CategoryParams(1)
+
+    def disjoint(g):  # no two arcs are joined by a relation
+        return ArcFamily(p, tuple(Arc(3 * i, 3 * i + 2) for i in range(g)))
+
+    assert 2000 * 2000 == k0.MAX_CLASS_CELLS
+    with pytest.raises(LookupError, match="reduction reached"):
+        k0_presentation(p, disjoint(2000))
+    with pytest.raises(ValueError) as refused:
+        k0_presentation(p, disjoint(2001))
+    assert str(refused.value) == (
+        "2001 generators with 0 relations give a class table of at least 4004001 cells, "
+        "more than 4000000"
+    )
+
+
 def test_relations_project_to_zero():
     p, f = canon(4, 10)
     pres = k0_presentation(p, f)

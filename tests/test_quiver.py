@@ -18,6 +18,7 @@ from infgon import (
     tau,
     tau_inverse,
 )
+from infgon.quiver import MAX_QUIVER_NODES
 from oracles import quiver_window_oracle
 
 
@@ -171,6 +172,23 @@ def test_quiver_window_rejects_bad_arguments():
         quiver_window(p3, "1", Window(0, 5), 2)
     with pytest.raises(ValueError, match="depth"):
         quiver_window(p3, 0, Window(0, 5), 0)
+
+
+def test_quiver_window_is_bounded_before_any_node_is_built():
+    # the bound counts the pairs the scan visits, so a column band that keeps
+    # few of them (and keeps this test fast) does not lower it
+    band = Window(0, 10)
+    p1 = CategoryParams(1)
+    assert 1000 * 200 == MAX_QUIVER_NODES  # 1000 t values to depth 200: at the limit
+    assert len(quiver_window(p1, 0, Window(0, 999), 200, columns=band).nodes) == 25
+    for t_hi, depth in ((1000, 200), (999, 201), (10**12, 1), (1, 10**12)):
+        with pytest.raises(ValueError, match=f"scans more than {MAX_QUIVER_NODES} nodes"):
+            quiver_window(p1, 0, Window(0, t_hi), depth, columns=band)
+    # one t value in n is scanned
+    p4 = CategoryParams(4)
+    assert quiver_window(p4, 0, Window(0, 3999), 200, columns=band).nodes == (Arc(0, 5), Arc(0, 9))
+    with pytest.raises(ValueError, match="scans more than"):
+        quiver_window(p4, 0, Window(0, 4000), 200, columns=band)
 
 
 def test_quiver_window_json_shape():
