@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .angulation import ArcFamily, canonical_family, require_noncrossing
+from .angulation import MAX_CANONICAL_MEMBERS, ArcFamily, canonical_family, require_noncrossing
 from .arcs import Arc, CategoryParams, short_repr
 from .intlinalg import IntMatrix, cokernel, dense_row
 from .quiver import ar_triangle, arrows_from
@@ -28,7 +28,7 @@ from .quiver import ar_triangle, arrows_from
 
 @dataclass(frozen=True)
 class K0Basis:
-    """A family viewed as an ordered free basis, with arc -> index lookup."""
+    """A family viewed as an ordered free basis; member i is generator i."""
 
     family: ArcFamily
 
@@ -124,8 +124,10 @@ class K0Presentation:
     def to_json_dict(self) -> dict:
         family = self.basis.family
         m = len(family)
-        # the family itself decides, so every input channel gets the same label
-        truncation = m if m and family == canonical_family(family.params, m) else None
+        # the family itself decides, so every input channel gets the same label;
+        # no canonical truncation is larger than MAX_CANONICAL_MEMBERS
+        canonical = 0 < m <= MAX_CANONICAL_MEMBERS and family == canonical_family(family.params, m)
+        truncation = m if canonical else None
         return {
             "n": family.params.n,
             "generators": m,
@@ -151,19 +153,34 @@ has 159 * 158 cells, about 160 times below it.
 """
 
 
+MAX_RELATIONS = 1000
+"""The most relations `k0_presentation` reduces.
+
+The reduction time grows as the cube of the relation count.  On a 2-CPU
+x86-64 host with Python 3.11, canonical truncations with 499 relations
+took 1.1-1.6 s for n in {2, 4, 6, 8}, with 749 relations 5.2 s (n = 4),
+and with 999 or 1000 relations 11 s (n = 2) and 12.5 s (n = 4); odd n is
+far cheaper.  A family past the limit raises ValueError before the
+reduction, so `k0 verify --m` tops out at m = 1001.
+"""
+
+
 def k0_presentation(params: CategoryParams, family: ArcFamily) -> K0Presentation:
     """Present the quotient group of a non-crossing family.
 
     Raises ValueError when the family crosses itself (the construction is
-    only meaningful on non-crossing input), and when its class table would
-    exceed MAX_CLASS_CELLS.  The class map sends every relation vector to
-    zero exactly.
+    only meaningful on non-crossing input), when it has more than
+    MAX_RELATIONS relations, and when its class table would exceed
+    MAX_CLASS_CELLS.  The class map sends every relation vector to zero
+    exactly.
     """
     _require_params(params, family)
     require_noncrossing(family)
     basis = K0Basis(family)
     relations = ar_relations(params, basis)
     g, rels = basis.size, len(relations)
+    if rels > MAX_RELATIONS:
+        raise ValueError(f"{g} generators give {rels} relations, more than {MAX_RELATIONS}")
     if g * (g - rels) > MAX_CLASS_CELLS:
         raise ValueError(
             f"{g} generators with {rels} relations give a class table of at least "

@@ -11,13 +11,15 @@ for inspection, rendering, and tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from .angulation import ArcFamily
 from .arcs import (
     Arc,
     CategoryParams,
     Window,
     _require_int,
+    arc_text,
     require_admissible,
     short_repr,
     tau,
@@ -77,19 +79,31 @@ is ten times the 20 000-node ceiling of the benchmark's quiver jobs.
 
 @dataclass(frozen=True)
 class QuiverWindow:
-    """A finite rectangle of one quiver component, with the arrows inside it."""
+    """A finite rectangle of one quiver component, with the arrows inside it.
+
+    Construction checks the nodes as `ArcFamily` does (admissible, distinct)
+    and that both ends of every arrow are nodes, raising ValueError that names
+    the first bad node or arrow.  `index` maps each node to its position.
+    """
 
     params: CategoryParams
     component: int
     nodes: tuple[Arc, ...]
     arrows: tuple[tuple[Arc, Arc], ...]
+    index: dict[Arc, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        index = ArcFamily(self.params, self.nodes).index
+        for s, t in self.arrows:
+            if s not in index or t not in index:
+                raise ValueError(f"arrow {arc_text(s)} -> {arc_text(t)}: an end is not a node")
+        object.__setattr__(self, "index", index)
 
     def to_json_dict(self) -> dict:
-        index = {a: i for i, a in enumerate(self.nodes)}
         return {
             "component": self.component,
             "nodes": [a.to_json() for a in self.nodes],
-            "arrows": [[index[s], index[t]] for s, t in self.arrows],
+            "arrows": [[self.index[s], self.index[t]] for s, t in self.arrows],
         }
 
 

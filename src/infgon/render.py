@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .angulation import ArcFamily
 from .arcs import Arc, Window, require_inside, short_repr
-from .quiver import QuiverWindow, row_index
+from .quiver import QuiverWindow
 
 _MARGIN = 36  # blank border on every side of the canvas
 
@@ -57,10 +57,6 @@ class RenderOptions:
         object.__setattr__(self, "highlight", tuple(self.highlight))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
-
-
 def _svg_open(opts: RenderOptions) -> list[str]:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -71,6 +67,23 @@ def _svg_open(opts: RenderOptions) -> list[str]:
         ),
         f"<style>{_STYLE}</style>",
     ]
+
+
+def _nodes_and_close(
+    parts: list[str], opts: RenderOptions, kind: str, nodes: list, radius: float, label_dy: int
+) -> str:
+    """Append a circle per (x, y, highlighted, label) node, then with labels on
+    a label per node, and close the SVG.  Classes: kind, highlight, kind-label."""
+    for x, y, lit, _ in nodes:
+        cls = f"{kind} highlight" if lit else kind
+        parts.append(f'<circle class="{cls}" cx="{x:.2f}" cy="{y:.2f}" r="{radius:.2f}"/>')
+    if opts.labels:
+        for x, y, _, label in nodes:
+            parts.append(
+                f'<text class="{kind}-label" x="{x:.2f}" y="{y + label_dy:.2f}">{label}</text>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def arc_diagram_svg(f: ArcFamily, w: Window, opts: RenderOptions = RenderOptions()) -> str:
@@ -88,8 +101,7 @@ def arc_diagram_svg(f: ArcFamily, w: Window, opts: RenderOptions = RenderOptions
         )
     require_inside(w, f.arcs)
     highlight = set(opts.highlight)
-    inner = opts.width - 2 * _MARGIN
-    step = inner / w.span
+    step = (opts.width - 2 * _MARGIN) / w.span
     base_y = opts.height - _MARGIN - 18
 
     def x_of(p: int) -> float:
@@ -97,44 +109,25 @@ def arc_diagram_svg(f: ArcFamily, w: Window, opts: RenderOptions = RenderOptions
 
     # tallest arc caps the height scale; default keeps flat families shallow
     max_len = max((a.length for a in f.arcs), default=w.span)
-    usable = base_y - _MARGIN
-    unit = usable / max_len
+    unit = (base_y - _MARGIN) / max_len
 
     parts = _svg_open(opts)
     stub = min(step * 0.75, _MARGIN * 0.8)
-    parts.append(
-        f'<line class="baseline" x1="{_fmt(x_of(w.lo))}" y1="{_fmt(base_y)}" '
-        f'x2="{_fmt(x_of(w.hi))}" y2="{_fmt(base_y)}"/>'
-    )
-    parts.append(
-        f'<line class="baseline-ext" x1="{_fmt(x_of(w.lo) - stub)}" y1="{_fmt(base_y)}" '
-        f'x2="{_fmt(x_of(w.lo))}" y2="{_fmt(base_y)}"/>'
-    )
-    parts.append(
-        f'<line class="baseline-ext" x1="{_fmt(x_of(w.hi))}" y1="{_fmt(base_y)}" '
-        f'x2="{_fmt(x_of(w.hi) + stub)}" y2="{_fmt(base_y)}"/>'
-    )
+    x_lo, x_hi, y = x_of(w.lo), x_of(w.hi), f"{base_y:.2f}"
+    for cls, x1, x2 in (("baseline", x_lo, x_hi), ("baseline-ext", x_lo - stub, x_lo),
+                        ("baseline-ext", x_hi, x_hi + stub)):
+        parts.append(f'<line class="{cls}" x1="{x1:.2f}" y1="{y}" x2="{x2:.2f}" y2="{y}"/>')
     for a in f.arcs:
         x1, x2 = x_of(a.t), x_of(a.u)
         rx = (x2 - x1) / 2
         ry = a.length * unit
         cls = "arc highlight" if a in highlight else "arc"
         parts.append(
-            f'<path class="{cls}" d="M {_fmt(x1)} {_fmt(base_y)} '
-            f'A {_fmt(rx)} {_fmt(ry)} 0 0 1 {_fmt(x2)} {_fmt(base_y)}"/>'
+            f'<path class="{cls}" d="M {x1:.2f} {y} '
+            f'A {rx:.2f} {ry:.2f} 0 0 1 {x2:.2f} {y}"/>'
         )
-    for p in range(w.lo, w.hi + 1):
-        parts.append(
-            f'<circle class="vertex" cx="{_fmt(x_of(p))}" cy="{_fmt(base_y)}" r="2.50"/>'
-        )
-    if opts.labels:
-        for p in range(w.lo, w.hi + 1):
-            parts.append(
-                f'<text class="vertex-label" x="{_fmt(x_of(p))}" '
-                f'y="{_fmt(base_y + 16)}">{p}</text>'
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    vertices = [(x_of(p), base_y, False, p) for p in range(w.lo, w.hi + 1)]
+    return _nodes_and_close(parts, opts, "vertex", vertices, 2.5, 16)
 
 
 def quiver_svg(qw: QuiverWindow, opts: RenderOptions = RenderOptions()) -> str:
@@ -148,15 +141,12 @@ def quiver_svg(qw: QuiverWindow, opts: RenderOptions = RenderOptions()) -> str:
         raise ValueError("cannot render an empty quiver window")
     highlight = set(opts.highlight)
     xs = [a.t + a.u for a in qw.nodes]
-    rows = [row_index(qw.params, a) for a in qw.nodes]
+    rows = [(a.u - a.t - 1) // qw.params.n for a in qw.nodes]  # every node is checked
     x_lo, x_hi = min(xs), max(xs)
     r_lo, r_hi = min(rows), max(rows)
-    inner_w = opts.width - 2 * _MARGIN
-    inner_h = opts.height - 2 * _MARGIN
-    sx = inner_w / max(x_hi - x_lo, 1)
-    sy = inner_h / max(r_hi - r_lo, 1)
+    sx = (opts.width - 2 * _MARGIN) / max(x_hi - x_lo, 1)
+    sy = (opts.height - 2 * _MARGIN) / max(r_hi - r_lo, 1)
     places = [(_MARGIN + (x - x_lo) * sx, _MARGIN + (r_hi - r) * sy) for x, r in zip(xs, rows)]
-    pos = dict(zip(qw.nodes, places))
 
     parts = _svg_open(opts)
     parts.append(
@@ -166,27 +156,16 @@ def quiver_svg(qw: QuiverWindow, opts: RenderOptions = RenderOptions()) -> str:
     )
     radius = 3.5
     for s, t in qw.arrows:
-        x1, y1 = pos[s]
-        x2, y2 = pos[t]
+        x1, y1 = places[qw.index[s]]
+        x2, y2 = places[qw.index[t]]
         dx, dy = x2 - x1, y2 - y1
         norm = (dx * dx + dy * dy) ** 0.5 or 1.0
         trim = radius + 2.0
         x1, y1 = x1 + dx / norm * trim, y1 + dy / norm * trim
         x2, y2 = x2 - dx / norm * trim, y2 - dy / norm * trim
         parts.append(
-            f'<line class="arrow" x1="{_fmt(x1)}" y1="{_fmt(y1)}" '
-            f'x2="{_fmt(x2)}" y2="{_fmt(y2)}" marker-end="url(#arrowhead)"/>'
+            f'<line class="arrow" x1="{x1:.2f}" y1="{y1:.2f}" '
+            f'x2="{x2:.2f}" y2="{y2:.2f}" marker-end="url(#arrowhead)"/>'
         )
-    for a, (x, y) in zip(qw.nodes, places):
-        cls = "node highlight" if a in highlight else "node"
-        parts.append(
-            f'<circle class="{cls}" cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}"/>'
-        )
-    if opts.labels:
-        for a, (x, y) in zip(qw.nodes, places):
-            parts.append(
-                f'<text class="node-label" x="{_fmt(x)}" y="{_fmt(y - 7)}">'
-                f"({a.t},{a.u})</text>"
-            )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    nodes = [(x, y, a in highlight, f"({a.t},{a.u})") for a, (x, y) in zip(qw.nodes, places)]
+    return _nodes_and_close(parts, opts, "node", nodes, radius, -7)

@@ -19,6 +19,8 @@ from infgon import (
     parse_family,
     validate_noncrossing,
 )
+from infgon.angulation import MAX_CANONICAL_MEMBERS
+from infgon.quiver import MAX_QUIVER_NODES
 from oracles import addable_arcs, crossing_oracle, greedy_completion_oracle, maximality_oracle
 
 
@@ -81,6 +83,11 @@ def test_parse_object_with_n():
 def test_parse_object_n_mismatch():
     with pytest.raises(ValueError, match="parameter mismatch: -n 3 vs field 'n' = 2"):
         parse_family({"n": 2, "arcs": []}, params=CategoryParams(3))
+
+
+def test_parse_null_n_is_not_a_missing_n():
+    with pytest.raises(ValueError, match="field 'n' must be an integer, got None"):
+        parse_family({"n": None, "arcs": [[1, 5]]}, CategoryParams(3))
 
 
 def test_parse_symbolic_canonical():
@@ -398,6 +405,20 @@ def test_canonical_size_and_validation():
     for bad in (0, -1, 2.0, True):
         with pytest.raises(ValueError):
             canonical_family(p, bad)
+
+
+def test_canonical_family_is_bounded_before_any_arc_is_built():
+    p = CategoryParams(1)
+    assert MAX_CANONICAL_MEMBERS == MAX_QUIVER_NODES == 200_000
+    largest = canonical_family(p, MAX_CANONICAL_MEMBERS)
+    assert len(largest) == MAX_CANONICAL_MEMBERS
+    assert largest.arcs[-1] == Arc(1 - 100_000, 2 + 100_000)
+    for m in (MAX_CANONICAL_MEMBERS + 1, 10**8, 10**100):
+        with pytest.raises(ValueError, match=f"members is larger than {MAX_CANONICAL_MEMBERS}$"):
+            canonical_family(p, m)
+    # the symbolic JSON form goes through the same bound
+    with pytest.raises(ValueError, match="200001 members is larger than 200000"):
+        parse_family({"n": 1, "family": "canonical", "m": MAX_CANONICAL_MEMBERS + 1})
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -193,6 +193,80 @@ def test_oversized_class_table_exits_2_and_writes_no_file(capsys, tmp_path):
     assert not target.exists()
 
 
+# the five commands that read a family, each given the rest it needs
+FAMILY_COMMANDS = (
+    ("arcs", "validate"),
+    ("angulation", "check", "--window", "0", "9"),
+    ("angulation", "complete", "--window", "0", "9"),
+    ("k0", "present"),
+    ("render", "arcs", "--window", "0", "9"),
+)
+# JSON text where an exact integer belongs: floats with NaN and the
+# infinities, booleans, null, and integer literals past json's 4300 digits
+NOT_AN_INT = st.one_of(
+    st.floats().map(json.dumps),
+    st.sampled_from(["true", "false", "null", "1" * 4301, "-" + "9" * 5000]),
+)
+# family payloads, each with one integer slot for the hostile value
+SLOTS = (
+    '{{"n": {x}, "arcs": [[1, 5]]}}',
+    '{{"n": 3, "arcs": [[{x}, 5]]}}',
+    '{{"n": 3, "arcs": [[1, {x}]]}}',
+    "[[1, 5], [{x}, 8]]",
+    '{{"n": 3, "family": "canonical", "m": {x}}}',
+)
+# (channel, input bytes): a payload with a hostile value on any channel, or
+# input that is no JSON text at all
+HOSTILE_INPUT = st.one_of(
+    st.tuples(
+        st.sampled_from(["--json", "--input", "stdin"]),
+        st.builds(lambda slot, x: slot.format(x=x).encode(), st.sampled_from(SLOTS), NOT_AN_INT),
+    ),
+    st.sampled_from(
+        [("stdin", b""), ("stdin", b"\xff\xfe[[1, 5]]"), ("--input", b"\x80"), ("directory", b"")]
+    ),
+)
+
+
+@given(st.sampled_from(FAMILY_COMMANDS), HOSTILE_INPUT)
+@settings(max_examples=200, deadline=None)
+def test_hostile_family_input_exits_2_with_one_error_line(command, hostile):
+    channel, data = hostile
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "family.json"
+        if channel == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(data)
+        argv = [*command, "-n", "3"]
+        if channel == "--json":
+            argv += ["--json", data.decode()]
+        elif channel != "stdin":
+            argv += ["--input", str(path)]
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            saved, sys.stdin = sys.stdin, stdin
+            try:
+                code = main(argv)
+            finally:
+                sys.stdin = saved
+    assert (code, out.getvalue()) == (2, "")
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
+
+
+def test_non_utf8_stdin_exits_2_in_a_fresh_process():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "infgon.cli", "k0", "present", "-n", "3"],
+        input=b"\xff\xfe[[1, 5]]", env=env, capture_output=True,
+    )
+    assert (done.returncode, done.stdout) == (2, b"")
+    assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1
+
+
 # -------------------------------------------------------- process boundary
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from infgon import Arc, CategoryParams, RenderOptions, Window, arc_diagram_svg, canonical_family
 from infgon.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,6 +95,28 @@ CASES = [
     ("empty-arcs-enumerate", ["arcs", "enumerate", "-n", "3", "--window", "0", "3"]),
     ("refused-arcs-enumerate",
      ["arcs", "enumerate", "-n", "1", "--window", "0", "2001", "-o", "out.json"]),
+    # the member bound of the canonical family and the relation bound of k0
+    ("refused-family-canonical",
+     ["family", "canonical", "-n", "1", "--m", "100000000", "-o", "out.json"]),
+    ("refused-k0-verify", ["k0", "verify", "-n", "2", "--m", "1002", "-o", "out.json"]),
+    # figures without labels, and one with highlighted nodes in another component
+    # grid; the README pins the labelled ones above
+    ("figure-render-arcs-no-labels",
+     ["render", "arcs", "-n", "3", "--canonical", "5", "--window", "-8", "12", "--no-labels",
+      "-o", "arcs.svg"]),
+    ("figure-render-quiver-n1-no-labels",
+     ["render", "quiver", "-n", "1", "--component", "0", "--trange", "-3", "3", "--depth", "3",
+      "--highlight-canonical", "3", "--width", "640", "--height", "300", "--no-labels",
+      "-o", "quiver.svg"]),
+]
+
+# figures that no command draws: the SVG text alone is the golden file
+FIGURES = [
+    ("figure-arc-diagram-highlight",
+     lambda: arc_diagram_svg(
+         canonical_family(CategoryParams(3), 5), Window(-8, 12),
+         RenderOptions(width=640, height=300, highlight=(Arc(1, 5), Arc(-2, 8))),
+     )),
 ]
 
 
@@ -113,5 +136,11 @@ def test_cli_matches_golden(name, argv, capsys, monkeypatch, tmp_path):
     assert got == (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
 
 
+@pytest.mark.parametrize("name, draw", FIGURES, ids=[name for name, _ in FIGURES])
+def test_figure_matches_golden(name, draw):
+    assert draw() == (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
+
+
 def test_every_golden_file_has_a_case():
-    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(name for name, _ in CASES)
+    names = [name for name, _ in CASES + FIGURES]
+    assert sorted(p.stem for p in GOLDEN.glob("*.txt")) == sorted(names)

@@ -21,9 +21,10 @@ from infgon import (
     enumerate_arcs,
     expected_canonical_class,
     k0_presentation,
+    parse_family,
     verify_theorem,
 )
-from infgon import k0
+from infgon import angulation, k0
 
 
 def canon(n, m):
@@ -145,6 +146,48 @@ def test_class_table_past_its_bound_is_refused_before_the_reduction(monkeypatch)
         "2001 generators with 0 relations give a class table of at least 4004001 cells, "
         "more than 4000000"
     )
+
+
+def test_relations_past_their_bound_are_refused_before_the_reduction(monkeypatch):
+    def reduction(*_):
+        raise LookupError("reduction reached")
+
+    monkeypatch.setattr(k0, "cokernel", reduction)
+    assert k0.MAX_RELATIONS == 1000
+    # a canonical truncation of m arcs has m - 1 relations
+    for n in (1, 4):
+        p, at_limit = canon(n, k0.MAX_RELATIONS + 1)
+        with pytest.raises(LookupError, match="reduction reached"):
+            k0_presentation(p, at_limit)
+        with pytest.raises(LookupError, match="reduction reached"):
+            verify_theorem(p, k0.MAX_RELATIONS + 1)
+        p, past = canon(n, k0.MAX_RELATIONS + 2)
+        with pytest.raises(ValueError) as refused:
+            k0_presentation(p, past)
+        assert str(refused.value) == "1002 generators give 1001 relations, more than 1000"
+        with pytest.raises(ValueError, match="1001 relations, more than 1000"):
+            verify_theorem(p, k0.MAX_RELATIONS + 2)
+    # the same arcs given explicitly: g - |R| = 1, far inside the class-table bound
+    explicit = parse_family({"n": 4, "arcs": [a.to_json() for a in past.arcs]})
+    assert len(explicit) * 1 < k0.MAX_CLASS_CELLS
+    with pytest.raises(ValueError, match="1001 relations, more than 1000"):
+        k0_presentation(explicit.params, explicit)
+
+
+def test_verify_refuses_a_truncation_past_the_member_limit():
+    with pytest.raises(ValueError, match="members is larger than 200000"):
+        verify_theorem(CategoryParams(2), 10**8)
+
+
+def test_label_check_does_not_build_past_the_member_limit(monkeypatch):
+    p = CategoryParams(3)
+    arcs = canonical_family(p, 6).arcs
+    for module in (k0, angulation):
+        monkeypatch.setattr(module, "MAX_CANONICAL_MEMBERS", 5)
+    at_limit = k0_presentation(p, ArcFamily(p, arcs[:5])).to_json_dict()
+    assert (at_limit["truncation"], at_limit["label"]) == (5, "canonical truncation")
+    past = k0_presentation(p, ArcFamily(p, arcs)).to_json_dict()
+    assert (past["truncation"], past["label"]) == (None, "upper-bound presentation")
 
 
 def test_relations_project_to_zero():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from infgon import (
     Arc,
     CategoryParams,
+    QuiverWindow,
     Window,
     ar_triangle,
     arrows_from,
@@ -200,3 +201,26 @@ def test_quiver_window_json_shape():
     for i, j in data["arrows"]:
         s, t = qw.nodes[i], qw.nodes[j]
         assert t in arrows_from(p3, s)
+
+
+def test_quiver_window_indexes_its_nodes_outside_equality():
+    p3 = CategoryParams(3)
+    qw = quiver_window(p3, 2, Window(-7, 8), 2)
+    assert qw.index == {a: i for i, a in enumerate(qw.nodes)}
+    assert qw == QuiverWindow(p3, 2, qw.nodes, qw.arrows)
+    assert "index" not in repr(qw)
+
+
+def test_quiver_window_checks_its_nodes_and_arrows():
+    p1 = CategoryParams(1)
+    with pytest.raises(ValueError, match=r"^arrow \(0, 2\) -> \(0, 3\): an end is not a node$"):
+        QuiverWindow(p1, 0, (Arc(0, 2),), ((Arc(0, 2), Arc(0, 3)),))
+    with pytest.raises(ValueError, match=r"arrow \(-1, 2\) -> \(0, 2\)"):
+        QuiverWindow(p1, 0, (Arc(0, 2),), ((Arc(-1, 2), Arc(0, 2)),))
+    with pytest.raises(ValueError, match=r"duplicate arc \(0, 2\)"):
+        QuiverWindow(p1, 0, (Arc(0, 2), Arc(0, 3), Arc(0, 2)), ())
+    with pytest.raises(ValueError, match="not 3-admissible"):
+        QuiverWindow(CategoryParams(3), 0, (Arc(0, 4), Arc(0, 6)), ())
+    # both ends present: accepted
+    ok = QuiverWindow(p1, 0, (Arc(0, 2), Arc(0, 3)), ((Arc(0, 2), Arc(0, 3)),))
+    assert ok.to_json_dict()["arrows"] == [[0, 1]]
