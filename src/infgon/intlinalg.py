@@ -31,6 +31,7 @@ pure function of the input, which the rendering and CLI layers rely on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -415,24 +416,37 @@ class Cokernel:
 
 
 def cokernel(a: IntMatrix) -> Cokernel:
-    """Cokernel of the row span of `a` inside Z^cols, via Smith reduction.
+    """Cokernel of the row span of `a` inside Z^cols, via Smith reduction."""
+    return cokernel_from(smith_normal_form(a), range(a.cols))
 
-    The class of generator j is row j of V, read at the torsion positions
-    and then past the rank.  A free column of V is negated where the
-    orientation of `Cokernel` needs it; D's column there is zero, so
-    U * A * V = D still holds.  V is invertible, so every column has a
-    nonzero entry, and the first one met in row order sets its sign.
+
+def cokernel_from(snf: SnfResult, rows: Sequence[int]) -> Cokernel:
+    """The cokernel of `snf.matrix`, whose generator j is column rows[j].
+
+    The class of generator j is row rows[j] of V, read at the torsion
+    positions and then past the rank: the divisibility chain puts the unit
+    factors first, so that is one slice from the first torsion position.
+    Each class is a zero list filled in from the row's nonzeros in that
+    slice.  A free column of V is negated where the orientation of
+    `Cokernel` needs it; D's column there is zero, so U * A * V = D still
+    holds.  V is invertible, so every column has a nonzero entry, and the
+    first one met in generator order sets its sign.
     """
-    snf = smith_normal_form(a)
-    rank = snf.rank
-    torsion = [(i, x) for i, x in enumerate(snf.diagonal) if x > 1]
-    signs: dict[int, int] = {}
-    for row in snf.v.terms:
-        for c, y in row:
-            signs.setdefault(c, -1 if y < 0 else 1)
-    free = [(c, signs[c]) for c in range(rank, a.cols)]
-    classes = tuple(
-        tuple(row.get(i, 0) % x for i, x in torsion) + tuple(s * row.get(c, 0) for c, s in free)
-        for row in map(dict, snf.v.terms)
-    )
-    return Cokernel(a.cols, tuple(x for _, x in torsion), a.cols - rank, classes)
+    factors = tuple(x for x in snf.diagonal if x > 1)
+    start = snf.rank - len(factors)
+    width = snf.matrix.cols - start
+    signs = [1] * len(factors) + [0] * (width - len(factors))
+    v = snf.v.terms
+    classes = []
+    for p in rows:
+        row = v[p]
+        cls = [0] * width
+        for c, y in row[bisect_left(row, (start,)):]:
+            c -= start
+            if not signs[c]:
+                signs[c] = -1 if y < 0 else 1
+            cls[c] = signs[c] * y
+        for c, x in enumerate(factors):
+            cls[c] %= x
+        classes.append(tuple(cls))
+    return Cokernel(snf.matrix.cols, factors, width - len(factors), tuple(classes))

@@ -6,7 +6,20 @@ relation; collecting these relation vectors and reducing the quotient by
 Smith normal form yields invariant factors, a free rank, and an explicit
 class for each generator.  Relations are kept as their nonzero (generator,
 coefficient) pairs, the row format of `IntMatrix`, from the triangle that
-yields them to the matrix that `cokernel` reduces.
+yields them to the matrix that `smith_normal_form` reduces.
+
+The reduction gets that matrix in top-first order.  A relation's top is its
+longest arc; for a non-crossing family it carries a +-1 coefficient, it is
+strictly longer than every other arc of its relation, and no two relations
+share it.  Rows are sorted by top length, longest first (ties keep relation
+order), and columns are the tops in row order followed by the other members
+in (t, u) order.  The matrix is then upper triangular with +-1 on the
+diagonal, so Smith's pivot rule takes every diagonal entry in turn and needs
+no row operation.  The order only decides speed: the Smith reduction and its
+self-check certify every result whatever the matrix looks like.  It also
+fixes the free coordinates: each non-top arc maps to its own unit vector,
+non-top arcs in (t, u) order, up to the orientation of `Cokernel` (in each
+coordinate, the first member with a nonzero value gets a positive one).
 
 For a finite truncation of the canonical staircase family these relations
 are exactly the ones needed to collapse the group to Z.  For an arbitrary
@@ -22,7 +35,7 @@ from dataclasses import dataclass, field
 
 from .angulation import MAX_CANONICAL_MEMBERS, ArcFamily, canonical_family, require_noncrossing
 from .arcs import Arc, CategoryParams, short_repr
-from .intlinalg import IntMatrix, cokernel, dense_row
+from .intlinalg import IntMatrix, cokernel_from, dense_row, smith_normal_form
 from .quiver import ar_triangle, arrows_from
 
 
@@ -156,13 +169,41 @@ has 159 * 158 cells, about 160 times below it.
 MAX_RELATIONS = 1000
 """The most relations `k0_presentation` reduces.
 
-The reduction time grows as the cube of the relation count.  On a 2-CPU
-x86-64 host with Python 3.11, canonical truncations with 499 relations
-took 1.1-1.6 s for n in {2, 4, 6, 8}, with 749 relations 5.2 s (n = 4),
-and with 999 or 1000 relations 11 s (n = 2) and 12.5 s (n = 4); odd n is
-far cheaper.  A family past the limit raises ValueError before the
-reduction, so `k0 verify --m` tops out at m = 1001.
+In top-first order the reduction's time is quadratic in the relation
+count, but its V fills a dense triangle of about m^2 / 2 entries for m
+relations.  On a 2-CPU x86-64 host with Python 3.11, `k0 verify -n 4
+--m 1001` took 0.9-1.2 s and 84 MB peak RSS, n in {1, 3} 0.7 s and 46 MB,
+and m = 750 0.6-0.8 s and 53 MB.  Memory grows as the square of the limit,
+so the limit stays until the reduction builds no V.  A family past the
+limit raises ValueError before the reduction, so `k0 verify --m` tops out
+at m = 1001.
 """
+
+
+def _require_relation_count(g: int, rels: int) -> None:
+    if rels > MAX_RELATIONS:
+        raise ValueError(f"{g} generators give {rels} relations, more than {MAX_RELATIONS}")
+
+
+def _top_first(family: ArcFamily, relations: list[RelationVector]) -> tuple[IntMatrix, list[int]]:
+    """The relation matrix in top-first order, and the column of each member.
+
+    See the module docstring for the order.  A relation whose longest arc is
+    not unique takes the first in member order; a top shared by two
+    relations gets one column.  Neither happens on a non-crossing family.
+    """
+    arcs = family.arcs
+    length = [a.u - a.t for a in arcs]
+    tops = [max((j for j, _ in r.terms), key=length.__getitem__) for r in relations]
+    order = sorted(range(len(relations)), key=lambda i: -length[tops[i]])
+    columns = list(dict.fromkeys(tops[i] for i in order))
+    others = set(range(len(arcs))).difference(columns)
+    columns += sorted(others, key=lambda j: (arcs[j].t, arcs[j].u))
+    pos = [0] * len(arcs)
+    for p, j in enumerate(columns):
+        pos[j] = p
+    terms = tuple(tuple(sorted((pos[j], x) for j, x in relations[i].terms)) for i in order)
+    return IntMatrix(len(relations), len(arcs), terms), pos
 
 
 def k0_presentation(params: CategoryParams, family: ArcFamily) -> K0Presentation:
@@ -179,14 +220,14 @@ def k0_presentation(params: CategoryParams, family: ArcFamily) -> K0Presentation
     basis = K0Basis(family)
     relations = ar_relations(params, basis)
     g, rels = basis.size, len(relations)
-    if rels > MAX_RELATIONS:
-        raise ValueError(f"{g} generators give {rels} relations, more than {MAX_RELATIONS}")
+    _require_relation_count(g, rels)
     if g * (g - rels) > MAX_CLASS_CELLS:
         raise ValueError(
             f"{g} generators with {rels} relations give a class table of at least "
             f"{g * (g - rels)} cells, more than {MAX_CLASS_CELLS}"
         )
-    coker = cokernel(IntMatrix(rels, g, tuple(r.terms for r in relations)))
+    matrix, pos = _top_first(family, relations)
+    coker = cokernel_from(smith_normal_form(matrix), pos)
     return K0Presentation(
         basis=basis,
         relations=tuple(relations),
@@ -242,10 +283,13 @@ def verify_theorem(params: CategoryParams, m: int) -> TheoremReport:
     Expected: free rank 1, no torsion, the first generator at +1, and every
     generator class matching the even/odd formula.  The report carries the
     first violation found, if any; it never raises on a mathematical
-    failure.
+    failure.  Past MAX_CANONICAL_MEMBERS or MAX_RELATIONS it raises
+    ValueError before the family is built.
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 2:
         raise ValueError(f"truncation m must be an integer >= 2, got {short_repr(m)}")
+    if m <= MAX_CANONICAL_MEMBERS:  # past it, canonical_family refuses m before building
+        _require_relation_count(m, m - 1)  # a canonical truncation of m arcs has m - 1 relations
     family = canonical_family(params, m)
     pres = k0_presentation(params, family)
 

@@ -22,6 +22,7 @@ from infgon import (
     expected_canonical_class,
     k0_presentation,
     parse_family,
+    smith_normal_form,
     verify_theorem,
 )
 from infgon import angulation, k0
@@ -131,7 +132,7 @@ def test_class_table_past_its_bound_is_refused_before_the_reduction(monkeypatch)
     def reduction(*_):
         raise LookupError("reduction reached")
 
-    monkeypatch.setattr(k0, "cokernel", reduction)
+    monkeypatch.setattr(k0, "smith_normal_form", reduction)
     p = CategoryParams(1)
 
     def disjoint(g):  # no two arcs are joined by a relation
@@ -152,7 +153,7 @@ def test_relations_past_their_bound_are_refused_before_the_reduction(monkeypatch
     def reduction(*_):
         raise LookupError("reduction reached")
 
-    monkeypatch.setattr(k0, "cokernel", reduction)
+    monkeypatch.setattr(k0, "smith_normal_form", reduction)
     assert k0.MAX_RELATIONS == 1000
     # a canonical truncation of m arcs has m - 1 relations
     for n in (1, 4):
@@ -172,6 +173,22 @@ def test_relations_past_their_bound_are_refused_before_the_reduction(monkeypatch
     assert len(explicit) * 1 < k0.MAX_CLASS_CELLS
     with pytest.raises(ValueError, match="1001 relations, more than 1000"):
         k0_presentation(explicit.params, explicit)
+
+
+def test_verify_refuses_too_many_relations_before_building_the_family(monkeypatch):
+    def build(*_):
+        raise LookupError("family built")
+
+    monkeypatch.setattr(k0, "canonical_family", build)
+    p = CategoryParams(2)
+    with pytest.raises(ValueError) as refused:
+        verify_theorem(p, k0.MAX_RELATIONS + 2)
+    assert str(refused.value) == "1002 generators give 1001 relations, more than 1000"
+    # the member limit is still checked first, by canonical_family itself
+    with pytest.raises(LookupError, match="family built"):
+        verify_theorem(p, angulation.MAX_CANONICAL_MEMBERS + 1)
+    with pytest.raises(LookupError, match="family built"):
+        verify_theorem(p, k0.MAX_RELATIONS + 1)
 
 
 def test_verify_refuses_a_truncation_past_the_member_limit():
@@ -227,11 +244,41 @@ def test_relations_and_presentation_reject_the_same_params_mismatch(given_n, fam
         k0_presentation(CategoryParams(given_n), f)
 
 
-# ------------------------------------------------------------- symmetries
+# ------------------------------------------------------- top-first order
 
 
-def completed_window(seed):
-    """A seeded partial family completed inside a window: n <= 5, span <= 36."""
+def reduced(family):
+    """The presentation of `family` and every Smith result its reduction made."""
+    seen = []
+
+    def record(a):
+        seen.append(smith_normal_form(a))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(k0, "smith_normal_form", record)
+        pres = k0_presentation(family.params, family)
+    return pres, seen
+
+
+def assert_unit_triangular(snf):
+    """Every pivot is the diagonal +-1 of an upper triangular A, and U is diagonal."""
+    rows = snf.matrix.rows
+    assert all(row[0][0] == i and abs(row[0][1]) == 1 for i, row in enumerate(snf.matrix.terms))
+    assert snf.diagonal[:rows] == (1,) * rows
+    assert all(len(row) == 1 and row[0][0] == i for i, row in enumerate(snf.u.terms))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("m", [2, 3, 10, 41, 160])
+def test_canonical_relations_reach_the_reduction_unit_triangular(n, m):
+    pres, [snf] = reduced(canonical_family(CategoryParams(n), m))
+    assert snf.matrix.rows == len(pres.relations) == m - 1
+    assert_unit_triangular(snf)
+
+
+def window_family(seed, complete):
+    """A seeded non-crossing family in a window, n <= 5, span <= 36; completed or as drawn."""
     rng = random.Random(seed)
     p = CategoryParams(rng.randint(1, 5))
     lo = rng.randint(-20, 20)
@@ -239,15 +286,46 @@ def completed_window(seed):
     pool = enumerate_arcs(p, w)
     rng.shuffle(pool)
     kept = []
-    for a in pool[: rng.randint(0, 8)]:
+    for a in pool[: rng.randint(0, 40)]:
         if all(not crosses(a, b) for b in kept):
             kept.append(a)
-    return complete_in_window(ArcFamily(p, kept), w)
+    f = ArcFamily(p, kept)
+    return complete_in_window(f, w) if complete else f
+
+
+@given(st.integers(0, 2**32), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_window_relations_reach_the_reduction_unit_triangular(seed, complete):
+    pres, [snf] = reduced(window_family(seed, complete))
+    assert_unit_triangular(snf)
+    assert pres.invariant_factors == ()
+    assert pres.free_rank == len(pres.basis.family) - len(pres.relations)
+
+
+@given(st.integers(0, 2**32), st.booleans(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_shuffling_members_changes_classes_only_by_coordinate_signs(seed, complete, rng):
+    f = window_family(seed, complete)
+    arcs = list(f.arcs)
+    rng.shuffle(arcs)
+    g = ArcFamily(f.params, arcs)
+    a, b = k0_presentation(f.params, f), k0_presentation(g.params, g)
+    assert (a.invariant_factors, a.free_rank) == (b.invariant_factors, b.free_rank)
+    before = dict(zip(f.arcs, a.classes))
+    after = dict(zip(g.arcs, b.classes))
+    signs = [0] * a.free_rank
+    for arc in f.arcs:
+        for k, (x, y) in enumerate(zip(before[arc], after[arc], strict=True)):
+            signs[k] = signs[k] or (x and y // x)
+            assert signs[k] in (-1, 0, 1) and y == signs[k] * x
+
+
+# ------------------------------------------------------------- symmetries
 
 
 def presentations(seed, move):
     """The presentation of a completed window and of its image under `move`, members in order."""
-    f = completed_window(seed)
+    f = window_family(seed, True)
     g = ArcFamily(f.params, [move(a) for a in f.arcs])
     return k0_presentation(f.params, f), k0_presentation(g.params, g)
 
