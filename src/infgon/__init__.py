@@ -6,97 +6,74 @@ quiver, non-crossing families with window-local maximality certificates,
 and exact Grothendieck group presentations reduced by integer Smith normal
 form.  A CLI (`infgon`) wraps every operation and renders deterministic
 SVG figures.
+
+The exports are lazy: `import infgon` loads no submodule, and the first
+access to an exported name (`infgon.X` or `from infgon import X`) imports
+the one submodule that defines it.  So a CLI command loads only the modules
+it runs.  Each access reads the name off its submodule, never a copy.
 """
 
-from .angulation import (
-    ArcFamily,
-    canonical_family,
-    complete_in_window,
-    is_maximal_in_window,
-    parse_family,
-    validate_noncrossing,
-)
-from .arcs import (
-    Arc,
-    CategoryParams,
-    Window,
-    component_index,
-    crosses,
-    enumerate_arcs,
-    is_admissible,
-    minimal_length,
-    require_admissible,
-    serre,
-    suspend,
-    tau,
-    tau_inverse,
-    window_pairs,
-)
-from .intlinalg import Cokernel, IntMatrix, SnfResult, cokernel, smith_normal_form
-from .k0 import (
-    K0Basis,
-    K0Presentation,
-    RelationVector,
-    TheoremReport,
-    ar_relations,
-    expected_canonical_class,
-    k0_presentation,
-    verify_theorem,
-)
-from .quiver import (
-    ArTriangle,
-    QuiverWindow,
-    ar_triangle,
-    arrows_from,
-    quiver_window,
-    row_index,
-)
-from .render import RenderOptions, arc_diagram_svg, quiver_svg
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arc",
-    "ArcFamily",
-    "ArTriangle",
-    "CategoryParams",
-    "Cokernel",
-    "IntMatrix",
-    "K0Basis",
-    "K0Presentation",
-    "QuiverWindow",
-    "RelationVector",
-    "RenderOptions",
-    "SnfResult",
-    "TheoremReport",
-    "Window",
-    "ar_relations",
-    "ar_triangle",
-    "arc_diagram_svg",
-    "arrows_from",
-    "canonical_family",
-    "cokernel",
-    "complete_in_window",
-    "component_index",
-    "crosses",
-    "enumerate_arcs",
-    "expected_canonical_class",
-    "is_admissible",
-    "is_maximal_in_window",
-    "k0_presentation",
-    "minimal_length",
-    "parse_family",
-    "quiver_svg",
-    "quiver_window",
-    "require_admissible",
-    "row_index",
-    "serre",
-    "smith_normal_form",
-    "suspend",
-    "tau",
-    "tau_inverse",
-    "validate_noncrossing",
-    "verify_theorem",
-    "window_pairs",
-    "__version__",
-]
+_EXPORTS = {
+    "angulation": (
+        "ArcFamily",
+        "canonical_family",
+        "complete_in_window",
+        "is_maximal_in_window",
+        "parse_family",
+        "validate_noncrossing",
+    ),
+    "arcs": (
+        "Arc",
+        "CategoryParams",
+        "Window",
+        "component_index",
+        "crosses",
+        "enumerate_arcs",
+        "is_admissible",
+        "minimal_length",
+        "require_admissible",
+        "serre",
+        "suspend",
+        "tau",
+        "tau_inverse",
+        "window_pairs",
+    ),
+    "intlinalg": ("Cokernel", "IntMatrix", "SnfResult", "cokernel", "smith_normal_form"),
+    "k0": (
+        "K0Basis",
+        "K0Presentation",
+        "RelationVector",
+        "TheoremReport",
+        "ar_relations",
+        "expected_canonical_class",
+        "k0_presentation",
+        "verify_theorem",
+    ),
+    "quiver": (
+        "ArTriangle",
+        "QuiverWindow",
+        "ar_triangle",
+        "arrows_from",
+        "quiver_window",
+        "row_index",
+    ),
+    "render": ("RenderOptions", "arc_diagram_svg", "quiver_svg"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*sorted(_MODULE_OF), "__version__"]
+
+
+def __getattr__(name: str) -> object:
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_MODULE_OF})

@@ -206,20 +206,29 @@ def require_window_within_limit(params: CategoryParams, w: Window) -> None:
         )
 
 
-def window_pairs(params: CategoryParams, w: Window) -> Iterator[tuple[int, int]]:
-    """The admissible arcs inside the window as (t, u) pairs, lazily, in (t, u) order.
+def _window_rows(params: CategoryParams, w: Window) -> Iterator[tuple[int, range]]:
+    """The admissible arcs inside the window as rows (t, range of u), lazily, in (t, u) order.
 
     Admissible lengths form the arithmetic progression starting at the
-    minimal length with step n, so the scan is linear in the output size and
-    builds no `Arc`.  The MAX_WINDOW_ARCS check runs here, on the call, so a
-    window that is too large raises ValueError before the first pair is
-    asked for.
+    minimal length with step n, so row t is a `range` and only rows that
+    hold an arc are yielded.  The MAX_WINDOW_ARCS check runs here, on the
+    call, so a window that is too large raises ValueError before the first
+    row is asked for.
     """
     require_window_within_limit(params, w)
     shortest = minimal_length(params)
     return (
-        (t, u) for t in range(w.lo, w.hi - 1) for u in range(t + shortest, w.hi + 1, params.n)
+        (t, range(t + shortest, w.hi + 1, params.n)) for t in range(w.lo, w.hi - shortest + 1)
     )
+
+
+def window_pairs(params: CategoryParams, w: Window) -> Iterator[tuple[int, int]]:
+    """The admissible arcs inside the window as (t, u) pairs, lazily, in (t, u) order.
+
+    The scan is linear in the output size and builds no `Arc`.  A window
+    that is too large raises ValueError on the call, as `_window_rows` does.
+    """
+    return ((t, u) for t, us in _window_rows(params, w) for u in us)
 
 
 def enumerate_arcs(params: CategoryParams, w: Window) -> list[Arc]:

@@ -10,6 +10,10 @@ verification or certificate that comes back negative), and 2 for input
 errors.  Identical invocations produce byte-identical output.  NO_COLOR
 disables the pass/fail coloring of text summaries on a terminal (a file
 named by -o is never colored); argparse wraps --help text to COLUMNS.
+
+At module level only `arcs` and `render` are imported.  A handler imports
+`angulation`, `quiver` or `k0` when it runs and calls through the module, so
+a process loads only the modules its command uses.
 """
 
 from __future__ import annotations
@@ -18,23 +22,17 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
-from itertools import chain, islice
+from itertools import chain
 from pathlib import Path
 
-from .angulation import (
-    ArcFamily,
-    canonical_family,
-    complete_in_window,
-    is_maximal_in_window,
-    parse_family,
-    validate_noncrossing,
-)
-from .arcs import Arc, CategoryParams, Window, window_arc_count, window_pairs
-from .k0 import k0_presentation, verify_theorem
-from .quiver import quiver_window
+from .arcs import Arc, CategoryParams, Window, _window_rows, window_arc_count
 from .render import RenderOptions, arc_diagram_svg, quiver_svg
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without the cost of importing typing
+if TYPE_CHECKING:
+    from .angulation import ArcFamily
 
 EXIT_OK = 0
 EXIT_MATH_FAIL = 1
@@ -73,7 +71,16 @@ def _payload(args: argparse.Namespace) -> object:
         raise ValueError("input JSON is nested too deeply") from None
 
 
-def _family_from_args(args: argparse.Namespace) -> ArcFamily:
+def _family_from_args(
+    args: argparse.Namespace, check_canonical: Callable[[object], None] | None = None
+) -> ArcFamily:
+    """The family of --canonical M or of the input.
+
+    `check_canonical`, when given, is called with the M of a canonical
+    family, from --canonical or the symbolic input, before it is built.
+    """
+    from . import angulation
+
     params = _params(args)
     canonical_m = getattr(args, "canonical", None)
     if canonical_m is not None:
@@ -81,8 +88,17 @@ def _family_from_args(args: argparse.Namespace) -> ArcFamily:
             raise ValueError("give either --canonical or explicit input, not both")
         if params is None:
             raise ValueError("--canonical needs -n")
-        return canonical_family(params, canonical_m)
-    return parse_family(_payload(args), params)
+        if check_canonical is not None:
+            check_canonical(canonical_m)
+        return angulation.canonical_family(params, canonical_m)
+    payload = _payload(args)
+    if (
+        check_canonical is not None
+        and isinstance(payload, dict)
+        and payload.get("family") == angulation.CANONICAL_TAG
+    ):
+        check_canonical(payload.get("m"))
+    return angulation.parse_family(payload, params)
 
 
 def _window_from_args(args: argparse.Namespace, family: ArcFamily) -> Window:
@@ -93,21 +109,30 @@ def _window_from_args(args: argparse.Namespace, family: ArcFamily) -> Window:
     return Window(min(a.t for a in family.arcs), max(a.u for a in family.arcs))
 
 
-_BATCH = 4096
-"""Chunks joined into one write: a write per arc made `arcs enumerate` to a
-pipe nearly twice as slow as writes of a few thousand arcs."""
+_BATCH_CHARS = 1 << 16
+"""Characters joined into one write, at least: a write per arc made `arcs
+enumerate` to a pipe nearly twice as slow as 64 KiB writes.  The bound is on
+size, not on a count of chunks, because a row chunk of `arcs enumerate` holds
+up to 70 KB."""
 
 
 def _emit(args: argparse.Namespace, chunks: Iterable[str]) -> None:
-    """Write the chunks to the -o file, or to stdout, in batches of _BATCH.
+    """Write the chunks to the -o file, or to stdout, in batches of _BATCH_CHARS.
 
     The one writer of command output.  A handler calls it last, after every
     check has passed, so a refused input never creates the -o file.
     """
-    it = iter(chunks)
     sink = open(args.output, "w", encoding="utf-8") if args.output else nullcontext(sys.stdout)
     with sink as out:
-        for batch in iter(lambda: list(islice(it, _BATCH)), []):
+        batch: list[str] = []
+        size = 0
+        for chunk in chunks:
+            batch.append(chunk)
+            size += len(chunk)
+            if size >= _BATCH_CHARS:
+                out.write("".join(batch))
+                batch, size = [], 0
+        if batch:
             out.write("".join(batch))
 
 
@@ -118,9 +143,9 @@ def _report(
 
     `--format json` writes `obj` with `indent=2`; an `obj` that is an
     iterator already holds that text, in chunks, and is streamed as it is.
-    `--format text` writes `lines`, which are only formatted then.  A check
-    passes its `verdict`: the text ends in a result line, and a failed check
-    exits 1.
+    `--format text` writes `lines`, which are only formatted then; an item
+    may hold several lines, joined by newlines.  A check passes its
+    `verdict`: the text ends in a result line, and a failed check exits 1.
     """
     if args.format == "json":
         _emit(args, obj if isinstance(obj, Iterator) else (json.dumps(obj, indent=2), "\n"))
@@ -140,7 +165,10 @@ def _arc_lines(arcs: Iterable[Arc], *head: str) -> Iterator[str]:
 
 
 def _cmd_arcs_validate(args: argparse.Namespace) -> int:
-    family = parse_family(_payload(args), _params(args))  # raises with a diagnostic on bad arcs
+    from . import angulation
+
+    # raises with a diagnostic on bad arcs
+    family = angulation.parse_family(_payload(args), _params(args))
     report = {
         "n": family.params.n,
         "count": len(family.arcs),
@@ -150,15 +178,17 @@ def _cmd_arcs_validate(args: argparse.Namespace) -> int:
     return _report(args, report, [f"{len(family.arcs)} arcs, all {family.params.n}-admissible"])
 
 
-def _json_with_arcs(head: dict, pairs: Iterable[tuple[int, int]]) -> Iterator[str]:
-    """`json.dumps({**head, "arcs": [list(p) for p in pairs]}, indent=2) + "\n"`, in chunks.
+def _json_with_rows(head: dict, rows: Iterable[tuple[int, range]]) -> Iterator[str]:
+    """`json.dumps({**head, "arcs": [[t, u] for t, us in rows for u in us]}, indent=2) + "\n"`.
 
-    `head` must be a non-empty dict.  Nothing is built per pair but its text.
+    One chunk per row.  `head` must be a non-empty dict, and every row must
+    hold an arc.  Nothing is built per pair but its text.
     """
     yield json.dumps(head, indent=2)[:-2] + ',\n  "arcs": ['
     sep = "\n"
-    for t, u in pairs:
-        yield f"{sep}    [\n      {t},\n      {u}\n    ]"
+    for t, us in rows:
+        pair = f"    [\n      {t},\n      "
+        yield sep + pair + f"\n    ],\n{pair}".join(map(str, us)) + "\n    ]"
         sep = ",\n"
     yield "]\n}\n" if sep == "\n" else "\n  ]\n}\n"
 
@@ -166,17 +196,20 @@ def _json_with_arcs(head: dict, pairs: Iterable[tuple[int, int]]) -> Iterator[st
 def _cmd_arcs_enumerate(args: argparse.Namespace) -> int:
     params = CategoryParams(args.n)
     window = Window(args.window[0], args.window[1])
-    pairs = window_pairs(params, window)  # checks the window now; only one format reads it
+    rows = _window_rows(params, window)  # checks the window now; only one format reads it
     count = window_arc_count(params, window)
     head = {"n": params.n, "window": [window.lo, window.hi], "count": count}
-    return _report(args, _json_with_arcs(head, pairs), (f"({t}, {u})" for t, u in pairs))
+    lines = (f"({t}, " + f")\n({t}, ".join(map(str, us)) + ")" for t, us in rows)
+    return _report(args, _json_with_rows(head, rows), lines)
 
 
 def _quiver_from_args(args: argparse.Namespace):
+    from . import quiver
+
     params = CategoryParams(args.n)
     t_range = Window(args.trange[0], args.trange[1])
     columns = Window(args.columns[0], args.columns[1]) if args.columns else None
-    return quiver_window(params, args.component, t_range, args.depth, columns=columns)
+    return quiver.quiver_window(params, args.component, t_range, args.depth, columns=columns)
 
 
 def _cmd_quiver_window(args: argparse.Namespace) -> int:
@@ -186,10 +219,12 @@ def _cmd_quiver_window(args: argparse.Namespace) -> int:
 
 
 def _cmd_angulation_check(args: argparse.Namespace) -> int:
+    from . import angulation
+
     family = _family_from_args(args)
     window = _window_from_args(args, family)
-    pair = validate_noncrossing(family)
-    witness = None if pair else is_maximal_in_window(family, window)
+    pair = angulation.validate_noncrossing(family)
+    witness = None if pair else angulation.is_maximal_in_window(family, window)
     report = {
         "n": family.params.n,
         "window": [window.lo, window.hi],
@@ -208,22 +243,28 @@ def _cmd_angulation_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_angulation_complete(args: argparse.Namespace) -> int:
+    from . import angulation
+
     family = _family_from_args(args)
     window = _window_from_args(args, family)
-    completed = complete_in_window(family, window)
+    completed = angulation.complete_in_window(family, window)
     added = len(completed.arcs) - len(family.arcs)
     head = f"added {added} arcs inside [{window.lo}, {window.hi}]"
     return _report(args, completed.to_json_dict(), _arc_lines(completed.arcs, head))
 
 
 def _cmd_family_canonical(args: argparse.Namespace) -> int:
-    family = canonical_family(CategoryParams(args.n), args.m)
+    from . import angulation
+
+    family = angulation.canonical_family(CategoryParams(args.n), args.m)
     return _report(args, family.to_json_dict(), _arc_lines(family.arcs))
 
 
 def _cmd_k0_present(args: argparse.Namespace) -> int:
-    family = _family_from_args(args)
-    pres = k0_presentation(family.params, family)
+    from . import k0
+
+    family = _family_from_args(args, k0.require_canonical_within_limit)
+    pres = k0.k0_presentation(family.params, family)
     report = pres.to_json_dict()
     head = [
         f"generators={report['generators']} relations_used={report['relations_used']}",
@@ -235,7 +276,9 @@ def _cmd_k0_present(args: argparse.Namespace) -> int:
 
 
 def _cmd_k0_verify(args: argparse.Namespace) -> int:
-    report = verify_theorem(CategoryParams(args.n), args.m)
+    from . import k0
+
+    report = k0.verify_theorem(CategoryParams(args.n), args.m)
     lines = [
         f"k0 verify: n={args.n} m={args.m}",
         f"free_rank={report.free_rank} torsion={list(report.invariant_factors)} "
@@ -264,12 +307,14 @@ def _cmd_render_arcs(args: argparse.Namespace) -> int:
 
 
 def _cmd_render_quiver(args: argparse.Namespace) -> int:
+    from . import angulation
+
     qw = _quiver_from_args(args)
     highlight: tuple[Arc, ...] = ()
     if args.highlight_canonical is not None:
         # member i lies in row i, so only the first `depth` can be drawn
         m = min(args.highlight_canonical, args.depth)
-        highlight = canonical_family(CategoryParams(args.n), m).arcs
+        highlight = angulation.canonical_family(CategoryParams(args.n), m).arcs
     _emit(args, [quiver_svg(qw, _render_options(args, highlight))])
     return EXIT_OK
 

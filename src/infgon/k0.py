@@ -185,6 +185,18 @@ def _require_relation_count(g: int, rels: int) -> None:
         raise ValueError(f"{g} generators give {rels} relations, more than {MAX_RELATIONS}")
 
 
+def require_canonical_within_limit(m: object) -> None:
+    """Raise ValueError when a canonical truncation of m arcs has too many relations.
+
+    It has m - 1, more than MAX_RELATIONS past m = 1001, so this runs before
+    the family is built.  An m that is no integer or is past
+    MAX_CANONICAL_MEMBERS is left to `canonical_family`, whose refusal comes
+    first.
+    """
+    if isinstance(m, int) and not isinstance(m, bool) and m <= MAX_CANONICAL_MEMBERS:
+        _require_relation_count(m, m - 1)
+
+
 def _top_first(family: ArcFamily, relations: list[RelationVector]) -> tuple[IntMatrix, list[int]]:
     """The relation matrix in top-first order, and the column of each member.
 
@@ -288,8 +300,7 @@ def verify_theorem(params: CategoryParams, m: int) -> TheoremReport:
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 2:
         raise ValueError(f"truncation m must be an integer >= 2, got {short_repr(m)}")
-    if m <= MAX_CANONICAL_MEMBERS:  # past it, canonical_family refuses m before building
-        _require_relation_count(m, m - 1)  # a canonical truncation of m arcs has m - 1 relations
+    require_canonical_within_limit(m)
     family = canonical_family(params, m)
     pres = k0_presentation(params, family)
 

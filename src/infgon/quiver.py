@@ -83,7 +83,8 @@ class QuiverWindow:
 
     Construction checks the nodes as `ArcFamily` does (admissible, distinct)
     and that both ends of every arrow are nodes, raising ValueError that names
-    the first bad node or arrow.  `index` maps each node to its position.
+    the first bad node or arrow.  `index` maps each node to its position, and
+    `arrow_index` holds the positions of each arrow's ends, found by that check.
     """
 
     params: CategoryParams
@@ -91,19 +92,24 @@ class QuiverWindow:
     nodes: tuple[Arc, ...]
     arrows: tuple[tuple[Arc, Arc], ...]
     index: dict[Arc, int] = field(init=False, repr=False, compare=False)
+    arrow_index: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         index = ArcFamily(self.params, self.nodes).index
+        pairs = []
         for s, t in self.arrows:
-            if s not in index or t not in index:
+            i, j = index.get(s), index.get(t)
+            if i is None or j is None:
                 raise ValueError(f"arrow {arc_text(s)} -> {arc_text(t)}: an end is not a node")
+            pairs.append((i, j))
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "arrow_index", tuple(pairs))
 
     def to_json_dict(self) -> dict:
         return {
             "component": self.component,
             "nodes": [a.to_json() for a in self.nodes],
-            "arrows": [[self.index[s], self.index[t]] for s, t in self.arrows],
+            "arrows": [[i, j] for i, j in self.arrow_index],
         }
 
 

@@ -15,9 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .angulation import ArcFamily
 from .arcs import Arc, Window, require_inside, short_repr
-from .quiver import QuiverWindow
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without the cost of importing typing
+if TYPE_CHECKING:
+    from .angulation import ArcFamily
+    from .quiver import QuiverWindow
 
 _MARGIN = 36  # blank border on every side of the canvas
 
@@ -155,9 +158,9 @@ def quiver_svg(qw: QuiverWindow, opts: RenderOptions = RenderOptions()) -> str:
         '<path d="M 0 0 L 7 3 L 0 6 z" fill="#555"/></marker></defs>'
     )
     radius = 3.5
-    for s, t in qw.arrows:
-        x1, y1 = places[qw.index[s]]
-        x2, y2 = places[qw.index[t]]
+    for i, j in qw.arrow_index:
+        x1, y1 = places[i]
+        x2, y2 = places[j]
         dx, dy = x2 - x1, y2 - y1
         norm = (dx * dx + dy * dy) ** 0.5 or 1.0
         trim = radius + 2.0

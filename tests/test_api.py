@@ -24,6 +24,7 @@ def test_every_export_resolves():
     assert len(set(infgon.__all__)) == len(infgon.__all__)
     for name in infgon.__all__:
         assert hasattr(infgon, name), name
+    assert set(infgon.__all__) <= set(dir(infgon))
 
 
 def test_removed_names_are_gone():

@@ -19,7 +19,7 @@ from infgon import (
     tau,
     tau_inverse,
 )
-from infgon.arcs import MAX_WINDOW_ARCS, window_arc_count, window_pairs
+from infgon.arcs import MAX_WINDOW_ARCS, _window_rows, window_arc_count, window_pairs
 from oracles import brute_force_arcs, crossing_oracle
 
 
@@ -186,6 +186,19 @@ def test_enumerate_matches_brute_force(n, lo, span):
         assert w.contains_arc(a)
 
 
+@given(st.integers(1, 8), st.integers(-30, 30), st.integers(1, 24))
+@settings(max_examples=200)
+def test_window_rows_are_the_rows_that_hold_an_arc(n, lo, span):
+    p = CategoryParams(n)
+    w = Window(lo, lo + span)
+    want = [(a.t, a.u) for a in brute_force_arcs(p, w)]
+    rows = list(_window_rows(p, w))
+    assert [(t, u) for t, us in rows for u in us] == want
+    # one row per left end, and none empty: the report writers rely on that
+    assert [t for t, _ in rows] == sorted({t for t, _ in want})
+    assert all(isinstance(us, range) and us for _, us in rows)
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_window_arc_count_is_the_enumerated_count(n):
     p = CategoryParams(n)
@@ -206,3 +219,5 @@ def test_oversized_window_is_refused_before_enumeration():
         # on the call, not when the first pair is asked for
         with pytest.raises(ValueError, match=f"holds more than {MAX_WINDOW_ARCS} 1-admissible"):
             window_pairs(p, Window(0, hi))
+        with pytest.raises(ValueError, match=f"holds more than {MAX_WINDOW_ARCS} 1-admissible"):
+            _window_rows(p, Window(0, hi))

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infgon import Arc, CategoryParams, Window, cli, enumerate_arcs, k0
+from infgon import Arc, CategoryParams, Window, angulation, enumerate_arcs, k0
 from infgon.cli import main
+from oracles import brute_force_arcs
 
 
 def run(capsys, *argv):
@@ -256,12 +257,16 @@ def test_hostile_family_input_exits_2_with_one_error_line(command, hostile):
     assert "Traceback" not in err.getvalue()
 
 
-def test_non_utf8_stdin_exits_2_in_a_fresh_process():
+def fresh_env():
+    """The environment of a fresh process that imports this checkout's `src/`."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def test_non_utf8_stdin_exits_2_in_a_fresh_process():
     done = subprocess.run(
         [sys.executable, "-m", "infgon.cli", "k0", "present", "-n", "3"],
-        input=b"\xff\xfe[[1, 5]]", env=env, capture_output=True,
+        input=b"\xff\xfe[[1, 5]]", env=fresh_env(), capture_output=True,
     )
     assert (done.returncode, done.stdout) == (2, b"")
     assert done.stderr.startswith(b"error: ") and done.stderr.count(b"\n") == 1
@@ -272,12 +277,10 @@ def test_non_utf8_stdin_exits_2_in_a_fresh_process():
 
 def test_exit_codes_reach_the_shell():
     # `sys.exit(main())` under `python -m infgon.cli`, as a shell sees it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-
     def shell(*argv):
         return subprocess.run(
-            [sys.executable, "-m", "infgon.cli", *argv], env=env, capture_output=True, text=True
+            [sys.executable, "-m", "infgon.cli", *argv], env=fresh_env(), capture_output=True,
+            text=True,
         )
 
     assert shell("k0", "verify", "-n", "3", "--m", "20").returncode == 0
@@ -287,6 +290,39 @@ def test_exit_codes_reach_the_shell():
     assert malformed.returncode == 2
     assert malformed.stdout == ""
     assert malformed.stderr.startswith("error:") and malformed.stderr.count("\n") == 1
+
+
+def test_arcs_enumerate_loads_only_the_modules_it_runs():
+    argv = ["arcs", "enumerate", "-n", "1", "--window", "0", "3"]
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "infgon.cli", *argv],
+        env=fresh_env(), capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout) == (0, arc_list_report(1, 0, 3, "json"))
+    # -X importtime logs "import time: self | cumulative | name" per module loaded
+    loaded = {
+        line.rsplit("|", 1)[1].strip()
+        for line in done.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {"infgon", "infgon.arcs", "infgon.render"} <= loaded
+    assert not loaded & {"infgon.k0", "infgon.intlinalg", "infgon.angulation", "infgon.quiver"}
+
+
+def test_the_benchmark_imports_load_every_module():
+    # the benchmark imports these three, then wraps functions in every
+    # infgon module it finds in sys.modules
+    code = (
+        "import sys, infgon\n"
+        "from infgon import angulation, cli, k0\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('infgon'))))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=fresh_env(), capture_output=True, text=True
+    )
+    modules = ("angulation", "arcs", "cli", "intlinalg", "k0", "quiver", "render")
+    assert done.returncode == 0
+    assert done.stdout.split() == ["infgon", *(f"infgon.{m}" for m in modules)]
 
 
 # ---------------------------------------------------------- arcs enumerate
@@ -338,6 +374,34 @@ def test_enumerate_streams_the_arc_list_report(n, lo, span, fmt, to_file):
     assert (out.getvalue(), written) == (("", want) if to_file else (want, None))
 
 
+def pair_report(n, lo, hi, fmt):
+    """The report written a pair at a time, from the brute-force oracle's arcs."""
+    pairs = [(a.t, a.u) for a in brute_force_arcs(CategoryParams(n), Window(lo, hi))]
+    if fmt == "text":
+        return "".join(f"({t}, {u})\n" for t, u in pairs)
+    report = {"n": n, "window": [lo, hi], "count": len(pairs), "arcs": [list(p) for p in pairs]}
+    return json.dumps(report, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize(
+    "n, lo, hi",
+    [
+        (1, 0, 1),  # span below the minimal length 2: no arc
+        (3, -7, -4),  # span 3 below the minimal length 4, negative lo
+        (3, -7, -3),  # span equal to the minimal length: one arc
+        (2, -5, 5),  # the last rows before hi hold no arc
+        (1, -4, 6),
+        (2, -13, 0),
+        (3, -10, 7),
+    ],
+)
+def test_enumerate_writes_a_row_at_a_time_as_it_wrote_each_pair(capsys, n, lo, hi, fmt):
+    code, out, err = run(capsys, "arcs", "enumerate", "-n", str(n), "--window", str(lo), str(hi),
+                         "--format", fmt)
+    assert (code, out, err) == (0, pair_report(n, lo, hi, fmt), "")
+
+
 def test_enumerate_builds_no_arc(capsys, monkeypatch):
     want = {fmt: arc_list_report(2, 0, 40, fmt) for fmt in ("json", "text")}
     built = []
@@ -371,6 +435,24 @@ def test_enumerate_writes_a_large_window_in_few_writes(monkeypatch):
     report = json.loads(out.getvalue())
     assert report["count"] == len(report["arcs"]) == 44850
     assert out.writes <= 24
+
+
+def test_enumerate_writes_the_widest_window_in_bounded_batches(monkeypatch):
+    # a row holds up to 2000 pairs, about 70 KB of JSON; a batch is bounded by
+    # size, so no write holds more than one row past 64 KiB
+    class LongestWrite(io.TextIOBase):
+        longest = total = 0
+
+        def write(self, text):
+            self.longest = max(self.longest, len(text))
+            self.total += len(text)
+            return len(text)
+
+    out = LongestWrite()
+    monkeypatch.setattr("sys.stdout", out)
+    assert main(["arcs", "enumerate", "-n", "1", "--window", "0", "2000"]) == 0
+    assert out.total == 69_746_301
+    assert out.longest < 2 * 70_000
 
 
 # ----------------------------------------------------------- quiver window
@@ -577,6 +659,36 @@ def test_present_rejects_canonical_with_payload(capsys):
     assert "not both" in err
 
 
+def test_present_refuses_too_many_relations_before_building_the_family(capsys, monkeypatch):
+    seen = []
+
+    def build(p, m):
+        seen.append(m)
+        raise ValueError("family built")
+
+    monkeypatch.setattr(angulation, "canonical_family", build)
+
+    def present(m):
+        """(exit code, stdout, stderr, sizes built) for --canonical M and the symbolic input."""
+        payload = json.dumps({"n": 2, "family": "canonical", "m": m})
+        got = []
+        for argv in (["-n", "2", "--canonical", str(m)], ["--json", payload]):
+            seen.clear()
+            got.append((*run(capsys, "k0", "present", *argv), list(seen)))
+        assert got[0] == got[1]
+        return got[0]
+
+    def refused(m):
+        return (2, "", f"error: {m} generators give {m - 1} relations, more than 1000\n", [])
+
+    assert present(k0.MAX_RELATIONS + 2) == refused(1002)
+    assert present(angulation.MAX_CANONICAL_MEMBERS) == refused(200_000)
+    # the largest accepted size reaches the family, and past the member limit
+    # canonical_family itself refuses first, before it builds anything
+    for m in (k0.MAX_RELATIONS + 1, angulation.MAX_CANONICAL_MEMBERS + 1):
+        assert present(m) == (2, "", "error: family built\n", [m])
+
+
 def test_unknown_family_tag(capsys):
     code, _, err = run(
         capsys, "k0", "present", "--json", '{"n": 3, "family": "zigzag", "m": 2}'
@@ -674,9 +786,9 @@ def test_render_quiver_highlights_canonical_members(capsys, tmp_path):
 
 def test_render_quiver_builds_only_the_drawable_canonical_members(capsys, monkeypatch):
     # member i of the canonical family lies in row i, so depth 2 draws two
-    build = cli.canonical_family
+    build = angulation.canonical_family
     seen = []
-    monkeypatch.setattr(cli, "canonical_family", lambda p, m: seen.append(m) or build(p, m))
+    monkeypatch.setattr(angulation, "canonical_family", lambda p, m: seen.append(m) or build(p, m))
     argv = ("render", "quiver", "-n", "1", "--component", "0",
             "--trange", "0", "2", "--depth", "2", "--highlight-canonical")
     code, huge, _ = run(capsys, *argv, "100000")

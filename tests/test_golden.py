@@ -99,6 +99,8 @@ CASES = [
     ("refused-family-canonical",
      ["family", "canonical", "-n", "1", "--m", "100000000", "-o", "out.json"]),
     ("refused-k0-verify", ["k0", "verify", "-n", "2", "--m", "1002", "-o", "out.json"]),
+    ("refused-k0-present",
+     ["k0", "present", "-n", "2", "--canonical", "200000", "-o", "out.json"]),
     # figures without labels, and one with highlighted nodes in another component
     # grid; the README pins the labelled ones above
     ("figure-render-arcs-no-labels",

@@ -14,6 +14,7 @@ from infgon import (
     component_index,
     is_admissible,
     minimal_length,
+    quiver_svg,
     quiver_window,
     row_index,
     tau,
@@ -209,6 +210,22 @@ def test_quiver_window_indexes_its_nodes_outside_equality():
     assert qw.index == {a: i for i, a in enumerate(qw.nodes)}
     assert qw == QuiverWindow(p3, 2, qw.nodes, qw.arrows)
     assert "index" not in repr(qw)
+
+
+def test_quiver_window_keeps_the_arrow_ends_its_check_found(monkeypatch):
+    p3 = CategoryParams(3)
+    qw = quiver_window(p3, 2, Window(-7, 8), 3)
+    assert qw.arrow_index == tuple((qw.index[s], qw.index[t]) for s, t in qw.arrows)
+    assert qw == QuiverWindow(p3, 2, qw.nodes, qw.arrows)
+    assert "arrow_index" not in repr(qw)
+    hashed = []
+    real = Arc.__hash__
+    monkeypatch.setattr(Arc, "__hash__", lambda a: hashed.append(a) or real(a))
+    assert qw.to_json_dict()["arrows"] == [list(p) for p in qw.arrow_index]
+    assert hashed == []
+    # the figure looks each node up once, in the highlight set, and no arrow end
+    quiver_svg(qw)
+    assert hashed == list(qw.nodes)
 
 
 def test_quiver_window_checks_its_nodes_and_arrows():
