@@ -40,7 +40,7 @@ _EXPORTS = {
         "suspend",
         "tau",
         "tau_inverse",
-        "window_pairs",
+        "window_rows",
     ),
     "intlinalg": ("Cokernel", "IntMatrix", "SnfResult", "cokernel", "smith_normal_form"),
     "k0": (

@@ -177,7 +177,7 @@ MAX_WINDOW_ARCS = 2_000_000
 """The most admissible arcs a window may hold for enumeration or the greedy scan.
 
 At n = 1 the widest window allowed has span 2000.  Past the limit
-`window_pairs`, `enumerate_arcs`, window completion and the window-maximality
+`window_rows`, `enumerate_arcs`, window completion and the window-maximality
 check raise ValueError before allocating anything: a window of n = 1, span
 10**5 holds 5 * 10**9 arcs, hours of work even as streamed pairs, and far
 more memory than a machine has as `Arc` objects.
@@ -206,14 +206,15 @@ def require_window_within_limit(params: CategoryParams, w: Window) -> None:
         )
 
 
-def _window_rows(params: CategoryParams, w: Window) -> Iterator[tuple[int, range]]:
+def window_rows(params: CategoryParams, w: Window) -> Iterator[tuple[int, range]]:
     """The admissible arcs inside the window as rows (t, range of u), lazily, in (t, u) order.
 
     Admissible lengths form the arithmetic progression starting at the
     minimal length with step n, so row t is a `range` and only rows that
-    hold an arc are yielded.  The MAX_WINDOW_ARCS check runs here, on the
-    call, so a window that is too large raises ValueError before the first
-    row is asked for.
+    hold an arc are yielded.  The scan is linear in the output size and
+    builds no `Arc`.  The MAX_WINDOW_ARCS check runs here, on the call, so a
+    window that is too large raises ValueError before the first row is asked
+    for.
     """
     require_window_within_limit(params, w)
     shortest = minimal_length(params)
@@ -222,19 +223,10 @@ def _window_rows(params: CategoryParams, w: Window) -> Iterator[tuple[int, range
     )
 
 
-def window_pairs(params: CategoryParams, w: Window) -> Iterator[tuple[int, int]]:
-    """The admissible arcs inside the window as (t, u) pairs, lazily, in (t, u) order.
-
-    The scan is linear in the output size and builds no `Arc`.  A window
-    that is too large raises ValueError on the call, as `_window_rows` does.
-    """
-    return ((t, u) for t, us in _window_rows(params, w) for u in us)
-
-
 def enumerate_arcs(params: CategoryParams, w: Window) -> list[Arc]:
     """All admissible arcs lying inside the window, in (t, u) order.
 
-    The `Arc` form of `window_pairs`: a window holding more than
+    The `Arc` form of `window_rows`: a window holding more than
     MAX_WINDOW_ARCS arcs raises ValueError before any arc is built.
     """
-    return [Arc(t, u) for t, u in window_pairs(params, w)]
+    return [Arc(t, u) for t, us in window_rows(params, w) for u in us]

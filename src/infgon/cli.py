@@ -2,14 +2,16 @@
 
 Every subcommand wraps one library call.  The commands that take a family
 (`arcs validate`, `angulation`, `k0 present`, `render arcs`) read it as JSON
-(inline, file, or stdin); the others take flags only.  `render` writes SVG;
-every other command hands its report to `_report`, the one writer of JSON
-(the default) or text, of the PASS/FAIL line and of the exit code.  Exit codes
-are 0 for success or a passing check, 1 for a mathematical failure (a
-verification or certificate that comes back negative), and 2 for input
-errors.  Identical invocations produce byte-identical output.  NO_COLOR
-disables the pass/fail coloring of text summaries on a terminal (a file
-named by -o is never colored); argparse wraps --help text to COLUMNS.
+(inline, file, or stdin) through one reader, `_family_from_args`, which
+reads --canonical M as the symbolic input {"family": "canonical", "m": M};
+the others take flags only.  `render` writes SVG; every other command hands
+its report to `_report`, the one writer of JSON (the default) or text, of
+the PASS/FAIL line and of the exit code.  Exit codes are 0 for success or a
+passing check, 1 for a mathematical failure (a verification or certificate
+that comes back negative), and 2 for input errors.  Identical invocations
+produce byte-identical output.  NO_COLOR disables the pass/fail coloring of
+text summaries on a terminal (a file named by -o is never colored); argparse
+wraps --help text to COLUMNS.
 
 At module level only `arcs` and `render` are imported.  A handler imports
 `angulation`, `quiver` or `k0` when it runs and calls through the module, so
@@ -27,7 +29,7 @@ from contextlib import nullcontext
 from itertools import chain
 from pathlib import Path
 
-from .arcs import Arc, CategoryParams, Window, _window_rows, window_arc_count
+from .arcs import Arc, CategoryParams, Window, window_arc_count, window_rows
 from .render import RenderOptions, arc_diagram_svg, quiver_svg
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without the cost of importing typing
@@ -49,10 +51,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
 
-def _params(args: argparse.Namespace) -> CategoryParams | None:
-    return CategoryParams(args.n) if args.n is not None else None
-
-
 def _payload(args: argparse.Namespace) -> object:
     given = [x for x in (args.input, args.json) if x is not None]
     if len(given) > 1:
@@ -61,7 +59,7 @@ def _payload(args: argparse.Namespace) -> object:
         text = args.json
     elif args.input is not None:
         text = Path(args.input).read_text(encoding="utf-8")
-    elif sys.stdin.isatty():
+    elif sys.stdin is None or sys.stdin.isatty():  # None: the process has no fd 0
         raise ValueError("no input: use --input PATH or --json STR (or pipe JSON to stdin)")
     else:
         text = sys.stdin.read()
@@ -74,24 +72,23 @@ def _payload(args: argparse.Namespace) -> object:
 def _family_from_args(
     args: argparse.Namespace, check_canonical: Callable[[object], None] | None = None
 ) -> ArcFamily:
-    """The family of --canonical M or of the input.
+    """The family of the input; --canonical M is read as {"family": "canonical", "m": M}.
 
-    `check_canonical`, when given, is called with the M of a canonical
-    family, from --canonical or the symbolic input, before it is built.
+    A bad -n is reported before any input is read.  `check_canonical`, when
+    given, is called with the M of a canonical family before it is built.
     """
     from . import angulation
 
-    params = _params(args)
+    params = CategoryParams(args.n) if args.n is not None else None
     canonical_m = getattr(args, "canonical", None)
-    if canonical_m is not None:
-        if args.input is not None or args.json is not None:
-            raise ValueError("give either --canonical or explicit input, not both")
-        if params is None:
-            raise ValueError("--canonical needs -n")
-        if check_canonical is not None:
-            check_canonical(canonical_m)
-        return angulation.canonical_family(params, canonical_m)
-    payload = _payload(args)
+    if canonical_m is None:
+        payload = _payload(args)
+    elif args.input is not None or args.json is not None:
+        raise ValueError("give either --canonical or explicit input, not both")
+    elif params is None:
+        raise ValueError("--canonical needs -n")
+    else:
+        payload = {"family": angulation.CANONICAL_TAG, "m": canonical_m}
     if (
         check_canonical is not None
         and isinstance(payload, dict)
@@ -165,10 +162,7 @@ def _arc_lines(arcs: Iterable[Arc], *head: str) -> Iterator[str]:
 
 
 def _cmd_arcs_validate(args: argparse.Namespace) -> int:
-    from . import angulation
-
-    # raises with a diagnostic on bad arcs
-    family = angulation.parse_family(_payload(args), _params(args))
+    family = _family_from_args(args)  # raises with a diagnostic on bad arcs
     report = {
         "n": family.params.n,
         "count": len(family.arcs),
@@ -196,7 +190,7 @@ def _json_with_rows(head: dict, rows: Iterable[tuple[int, range]]) -> Iterator[s
 def _cmd_arcs_enumerate(args: argparse.Namespace) -> int:
     params = CategoryParams(args.n)
     window = Window(args.window[0], args.window[1])
-    rows = _window_rows(params, window)  # checks the window now; only one format reads it
+    rows = window_rows(params, window)  # checks the window now; only one format reads it
     count = window_arc_count(params, window)
     head = {"n": params.n, "window": [window.lo, window.hi], "count": count}
     lines = (f"({t}, " + f")\n({t}, ".join(map(str, us)) + ")" for t, us in rows)

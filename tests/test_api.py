@@ -17,6 +17,7 @@ from infgon import (
     SnfResult,
     Window,
     angulation,
+    arcs,
 )
 
 
@@ -32,6 +33,10 @@ def test_removed_names_are_gone():
         assert name not in infgon.__all__
         assert not hasattr(infgon, name)
         assert not hasattr(angulation, name)
+    # `window_rows` is the one row enumerator; its flattened form is gone
+    assert "window_pairs" not in infgon.__all__
+    assert not hasattr(infgon, "window_pairs")
+    assert not hasattr(arcs, "window_pairs")
     assert not hasattr(IntMatrix, "transpose")
     assert not hasattr(IntMatrix, "identity")
     assert not hasattr(SnfResult, "invariant_factors")

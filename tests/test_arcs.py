@@ -19,7 +19,7 @@ from infgon import (
     tau,
     tau_inverse,
 )
-from infgon.arcs import MAX_WINDOW_ARCS, _window_rows, window_arc_count, window_pairs
+from infgon.arcs import MAX_WINDOW_ARCS, window_arc_count, window_rows
 from oracles import brute_force_arcs, crossing_oracle
 
 
@@ -179,7 +179,7 @@ def test_enumerate_matches_brute_force(n, lo, span):
     w = Window(lo, lo + span)
     got = enumerate_arcs(p, w)
     assert got == brute_force_arcs(p, w)
-    assert list(window_pairs(p, w)) == [(a.t, a.u) for a in got]
+    assert [(t, u) for t, us in window_rows(p, w) for u in us] == [(a.t, a.u) for a in got]
     assert got == sorted(got)
     assert len(got) == len(set(got))
     for a in got:
@@ -192,7 +192,7 @@ def test_window_rows_are_the_rows_that_hold_an_arc(n, lo, span):
     p = CategoryParams(n)
     w = Window(lo, lo + span)
     want = [(a.t, a.u) for a in brute_force_arcs(p, w)]
-    rows = list(_window_rows(p, w))
+    rows = list(window_rows(p, w))
     assert [(t, u) for t, us in rows for u in us] == want
     # one row per left end, and none empty: the report writers rely on that
     assert [t for t, _ in rows] == sorted({t for t, _ in want})
@@ -216,8 +216,6 @@ def test_oversized_window_is_refused_before_enumeration():
     for hi in (2001, 10**12):
         with pytest.raises(ValueError, match=f"holds more than {MAX_WINDOW_ARCS} 1-admissible"):
             enumerate_arcs(p, Window(0, hi))
-        # on the call, not when the first pair is asked for
+        # on the call, not when the first row is asked for
         with pytest.raises(ValueError, match=f"holds more than {MAX_WINDOW_ARCS} 1-admissible"):
-            window_pairs(p, Window(0, hi))
-        with pytest.raises(ValueError, match=f"holds more than {MAX_WINDOW_ARCS} 1-admissible"):
-            _window_rows(p, Window(0, hi))
+            window_rows(p, Window(0, hi))

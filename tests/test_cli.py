@@ -88,6 +88,15 @@ def test_missing_input_is_an_input_error(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [("k0", "present"), ("arcs", "validate")])
+def test_closed_stdin_is_no_input(capsys, monkeypatch, command):
+    # with fd 0 closed (`infgon k0 present 0<&-`) Python sets sys.stdin to None
+    monkeypatch.setattr("sys.stdin", None)
+    assert run(capsys, *command, "-n", "3") == (
+        2, "", "error: no input: use --input PATH or --json STR (or pipe JSON to stdin)\n"
+    )
+
+
 @pytest.mark.parametrize("channel", ["--json", "--input", "stdin"])
 def test_deeply_nested_json_is_an_input_error(capsys, monkeypatch, tmp_path, channel):
     deep = "[" * 5000 + "]" * 5000
@@ -695,6 +704,91 @@ def test_unknown_family_tag(capsys):
     )
     assert code == 2
     assert "unknown symbolic family tag" in err
+
+
+# ------------------------------------------- --canonical M, the symbolic input
+
+# the commands that take --canonical, each given the rest it needs
+CANONICAL_COMMANDS = (
+    ("k0", "present"),
+    ("k0", "present", "--format", "text"),
+    ("render", "arcs", "--window", "-8", "12"),
+)
+
+
+def spy_on_canonical_family(monkeypatch):
+    """The list of sizes that `canonical_family` is asked for from now on."""
+    build, seen = angulation.canonical_family, []
+    monkeypatch.setattr(angulation, "canonical_family", lambda p, m: seen.append(m) or build(p, m))
+    return seen
+
+
+@pytest.mark.parametrize("command", CANONICAL_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("m", [5, 0, k0.MAX_RELATIONS + 2, angulation.MAX_CANONICAL_MEMBERS + 1])
+def test_canonical_flag_is_the_symbolic_input_on_every_channel(
+    capsys, monkeypatch, tmp_path, command, m
+):
+    seen = spy_on_canonical_family(monkeypatch)
+    payload = json.dumps({"n": 3, "family": "canonical", "m": m})
+    path = tmp_path / "family.json"
+    path.write_text(payload)
+    channels = {
+        "--canonical": ["-n", "3", "--canonical", str(m)],
+        "--json": ["--json", payload],
+        "-n --json": ["-n", "3", "--json", json.dumps({"family": "canonical", "m": m})],
+        "--input": ["--input", str(path)],
+        "stdin": [],
+    }
+    got = {}
+    for channel, argv in channels.items():
+        seen.clear()
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        got[channel] = (*run(capsys, *command, *argv), list(seen))
+    assert all(g == got["--canonical"] for g in got.values()), got
+    code, out, err, built = got["--canonical"]
+    if m == 5:
+        assert (code, err, built) == (0, "", [5])
+        assert out
+    elif m == 0:
+        assert (code, out, built) == (2, "", [0])
+        assert err == "error: family size m must be an integer >= 1, got 0\n"
+    elif m == k0.MAX_RELATIONS + 2 and command[0] == "k0":
+        # refused on the relation count: the family is never built
+        assert (code, out, built) == (2, "", [])
+        assert err == "error: 1002 generators give 1001 relations, more than 1000\n"
+    elif m == angulation.MAX_CANONICAL_MEMBERS + 1:
+        assert (code, out, built) == (2, "", [m])
+        assert err == "error: canonical family of 200001 members is larger than 200000\n"
+    else:  # render arcs has no relation bound: the family is built, and misses the window
+        assert (code, out, built) == (2, "", [m])
+        assert "lies outside the window [-8, 12]" in err
+
+
+@pytest.mark.parametrize("command", CANONICAL_COMMANDS, ids=" ".join)
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--canonical", "5"], "error: --canonical needs -n\n"),
+        (["-n", "3", "--canonical", "5", "--json", "[]"],
+         "error: give either --canonical or explicit input, not both\n"),
+        (["--canonical", "5", "--json", '{"n": 3, "family": "canonical", "m": 5}'],
+         "error: give either --canonical or explicit input, not both\n"),
+    ],
+    ids=["no-n", "with-json", "with-symbolic-json"],
+)
+def test_canonical_flag_misuse_exits_2_before_building(capsys, monkeypatch, command, argv, err):
+    seen = spy_on_canonical_family(monkeypatch)
+    assert run(capsys, *command, *argv) == (2, "", err)
+    assert seen == []
+
+
+@pytest.mark.parametrize("command", FAMILY_COMMANDS, ids=" ".join)
+def test_every_family_command_names_a_bad_n_before_bad_input(capsys, command):
+    # one reader for all five commands, so the first error does not depend on
+    # the command
+    assert run(capsys, *command, "-n", "0", "--json", "x") == (
+        2, "", "error: parameter n must be >= 1, got 0\n"
+    )
 
 
 # --------------------------------------------------------------- k0 verify

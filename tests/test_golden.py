@@ -90,6 +90,9 @@ CASES = [
     ("usage-bad-integer", ["arcs", "enumerate", "-n", "x", "--window", "0", "3"]),
     # input errors raised by the handlers
     ("input-canonical-and-json", ["k0", "present", "--canonical", "6", "--json", "[]"]),
+    # the symbolic canonical input, which --canonical M also stands for
+    ("symbolic-arcs-validate",
+     ["arcs", "validate", "--json", '{"n": 3, "family": "canonical", "m": 4}']),
     # the streamed enumeration: a window with no arc, and a refused one that
     # writes nothing and creates no file
     ("empty-arcs-enumerate", ["arcs", "enumerate", "-n", "3", "--window", "0", "3"]),
