@@ -76,7 +76,7 @@ class Arc:
     def from_json(cls, data: object) -> "Arc":
         if not isinstance(data, (list, tuple)) or len(data) != 2:
             raise ValueError(f"arc must be a two-element array [t, u], got {short_repr(data)}")
-        return cls(_require_int(data[0], "arc endpoint t"), _require_int(data[1], "arc endpoint u"))
+        return cls(*data)  # the constructor checks both endpoints
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,8 @@ def require_inside(w: Window, arcs: Iterable[Arc]) -> None:
 
 
 def minimal_length(params: CategoryParams) -> int:
-    """Shortest admissible length: 2 when n = 1, n + 1 otherwise."""
-    return 2 if params.n == 1 else params.n + 1
+    """Shortest admissible length: n + 1, which is 2 when n = 1."""
+    return params.n + 1
 
 
 def is_admissible(params: CategoryParams, a: Arc) -> bool:

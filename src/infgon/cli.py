@@ -30,7 +30,7 @@ from itertools import chain
 from pathlib import Path
 
 from .arcs import Arc, CategoryParams, Window, window_arc_count, window_rows
-from .render import RenderOptions, arc_diagram_svg, quiver_svg
+from .render import MAX_DIAGRAM_POINTS, RenderOptions, arc_diagram_svg, quiver_svg
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without the cost of importing typing
 if TYPE_CHECKING:
@@ -70,12 +70,13 @@ def _payload(args: argparse.Namespace) -> object:
 
 
 def _family_from_args(
-    args: argparse.Namespace, check_canonical: Callable[[object], None] | None = None
+    args: argparse.Namespace, members: Callable[[object, object], object] | None = None
 ) -> ArcFamily:
     """The family of the input; --canonical M is read as {"family": "canonical", "m": M}.
 
-    A bad -n is reported before any input is read.  `check_canonical`, when
-    given, is called with the M of a canonical family before it is built.
+    A bad -n is reported before any input is read.  `members`, when given,
+    maps the M and n (from -n, else the input; unchecked) of a canonical
+    family to the number of members to build, or raises to refuse M.
     """
     from . import angulation
 
@@ -89,12 +90,9 @@ def _family_from_args(
         raise ValueError("--canonical needs -n")
     else:
         payload = {"family": angulation.CANONICAL_TAG, "m": canonical_m}
-    if (
-        check_canonical is not None
-        and isinstance(payload, dict)
-        and payload.get("family") == angulation.CANONICAL_TAG
-    ):
-        check_canonical(payload.get("m"))
+    if members and isinstance(payload, dict) and payload.get("family") == angulation.CANONICAL_TAG:
+        n = params.n if params is not None else payload.get("n")
+        payload = {**payload, "m": members(payload.get("m"), n)}
     return angulation.parse_family(payload, params)
 
 
@@ -257,7 +255,7 @@ def _cmd_family_canonical(args: argparse.Namespace) -> int:
 def _cmd_k0_present(args: argparse.Namespace) -> int:
     from . import k0
 
-    family = _family_from_args(args, k0.require_canonical_within_limit)
+    family = _family_from_args(args, lambda m, _: k0.require_canonical_within_limit(m) or m)
     pres = k0.k0_presentation(family.params, family)
     report = pres.to_json_dict()
     head = [
@@ -294,9 +292,19 @@ def _render_options(args: argparse.Namespace, highlight: tuple[Arc, ...] = ()) -
 
 
 def _cmd_render_arcs(args: argparse.Namespace) -> int:
-    family = _family_from_args(args)
-    window = Window(args.window[0], args.window[1])
-    _emit(args, [arc_diagram_svg(family, window, _render_options(args))])
+    from . import angulation
+
+    lo, hi = args.window
+
+    def fitting(m: object, n: object) -> object:
+        # member i has length 1 + i * n and holds member i - 1, so the first one
+        # outside the window comes by (span - 1) // n + 1, and a window too wide
+        # to draw is refused whatever the members; a refused M or n stays
+        ok = type(m) is int and type(n) is int and n > 0 and m <= angulation.MAX_CANONICAL_MEMBERS
+        return min(m, max(1, (min(hi - lo, MAX_DIAGRAM_POINTS) - 1) // n + 1)) if ok else m
+
+    family = _family_from_args(args, fitting)
+    _emit(args, [arc_diagram_svg(family, Window(lo, hi), _render_options(args))])
     return EXIT_OK
 
 

@@ -7,19 +7,21 @@ need the column transform to express generator classes in the reduced basis.
 
 Every elementary operation is mirrored into U or V and, inverted, into U^-1
 or V^-1, so the reduction also returns both inverses.  V and U^-1 are kept
-transposed, so `_add_row`, the one row update, does every row combination.
-A column is added to clear row k only after column k is cleared to
+transposed, so one sparse row kernel, `_add_row`, does every row and column
+operation; the self-check and `IntMatrix.mul` form their row products with
+it too.  A column is added to clear row k only after column k is cleared to
 d[k][k] * e_k, so on D it changes the one entry in row k.  The self-check
 run on every result proves the decomposition from those four integer
 matrices with three exact products over the nonzero entries: U * U^-1 = I
-and V * V^-1 = I show that U and V are unimodular (an integer matrix with an
+and V^-1 * V = I show that U and V are unimodular (an integer matrix with an
 integer inverse has determinant +-1), and U * A = D * V^-1 then gives
 U * A * V = D * V^-1 * V = D.  No determinant is needed.
 
 A matrix is stored by its nonzeros: `IntMatrix.terms` holds each row's
-(column, value) pairs.  The reduction copies them into dict rows, so a row
-update costs the nonzeros of its source row, not the width of the matrix,
-and `SnfResult` holds the transforms as terms again.  The pivots and the
+(column, value) pairs.  The reduction and the products work on dict rows,
+so a row update costs the nonzeros of its source row, not the width of the
+matrix; only the dense views `IntMatrix.entries` and
+`RelationVector.coefficients` build a dense row.  The pivots and the
 elementary operations are the ones a dense elimination would make, in the
 same order, so the transforms are the same too.
 
@@ -34,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, zip_longest
 
 from .arcs import short_repr
 
@@ -73,9 +75,7 @@ class IntMatrix:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         if len(self.terms) != self.rows:
-            raise ValueError(
-                f"expected {self.rows} rows, got {len(self.terms)}"
-            )
+            raise ValueError(f"expected {self.rows} rows, got {len(self.terms)}")
         for row in self.terms:
             js, xs = zip(*row) if row else ((), ())
             _require_ints(js + xs)
@@ -108,7 +108,8 @@ class IntMatrix:
             raise ValueError(
                 f"dimension mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}"
             )
-        return IntMatrix.from_rows([_row_times(row, other) for row in self.terms], cols=other.cols)
+        terms = tuple(tuple(sorted(_row_times(row, other).items())) for row in self.terms)
+        return IntMatrix(self.rows, other.cols, terms)
 
     def determinant(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -179,18 +180,15 @@ class SnfResult:
                 raise AssertionError(f"{name} has wrong shape")
         # D * V^-1: row i is d[i] times row i of V^-1, zero past the diagonal
         inv = self.v_inv.terms
-        dv = (
-            {j: diag[i] * y for j, y in inv[i]} if i < len(diag) and diag[i] else {}
-            for i in range(rows)
-        )
-        # each product a * b is compared with `want` one row at a time
+        dv = ({j: x * y for j, y in inv[i]} if x else {} for i, x in zip_longest(range(rows), diag))
+        # each product a * b is compared with `want` one row at a time.  V may be a
+        # dense triangle, so V^-1 * V, whose rows sum a few long rows of V, is cheaper
         for a, b, want, failure in (
             (self.u, self.u_inv, _identity_rows(rows), "U * U^-1 != I: U is not unimodular"),
-            (self.v, self.v_inv, _identity_rows(cols), "V * V^-1 != I: V is not unimodular"),
+            (self.v_inv, self.v, _identity_rows(cols), "V^-1 * V != I: V is not unimodular"),
             (self.u, self.matrix, dv, "U * A != D * V^-1, so U * A * V != D"),
         ):
-            if any(tuple(_row_times(row, b)) != dense_row(w.items(), b.cols)
-                   for row, w in zip(a.terms, want)):
+            if any(_row_times(row, b) != w for row, w in zip(a.terms, want)):
                 raise AssertionError(failure)
 
 
@@ -201,14 +199,15 @@ def _identity_rows(k: int) -> list[_Row]:
     return [{i: 1} for i in range(k)]
 
 
-def _add_row(rows: list[_Row], dst: int, src: int, c: int) -> None:
-    """rows[dst] += c * rows[src] for c != 0: every row combination of the reduction.
+def _add_row(row: _Row, src: Iterable[tuple[int, int]], c: int) -> None:
+    """row += c * src for c != 0: the one sparse row kernel of this module.
 
-    Only the nonzeros of the source row are visited.  A sum that cancels is
-    deleted; a new entry c * y is never zero.
+    It does the reduction's row and column operations, D's one-entry column
+    update, and the row products of the self-check and `IntMatrix.mul`.
+    Only the (column, value) nonzeros of `src` are visited.  A sum that
+    cancels is deleted; a new entry c * y is never zero.
     """
-    row = rows[dst]
-    for j, y in rows[src].items():
+    for j, y in src:
         x = row.get(j, 0) + c * y
         if x:
             row[j] = x
@@ -243,12 +242,11 @@ def _pivot(d: list[_Row], k: int) -> tuple[int, int] | None:
     return where
 
 
-def _row_times(row: Iterable[tuple[int, int]], b: IntMatrix) -> list[int]:
-    """The dense row `row` * b, visiting only pairs of nonzero entries."""
-    acc = [0] * b.cols
+def _row_times(row: Iterable[tuple[int, int]], b: IntMatrix) -> _Row:
+    """The sparse row `row` * b, visiting only pairs of nonzero entries."""
+    acc: _Row = {}
     for k, x in row:
-        for j, y in b.terms[k]:
-            acc[j] += x * y
+        _add_row(acc, b.terms[k], x)
     return acc
 
 
@@ -303,21 +301,16 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 
     def add_row(src: int, dst: int, c: int) -> None:
         # row[dst] += c * row[src]; the inverse subtracts column dst from src
-        _add_row(d, dst, src, c)
-        _add_row(u, dst, src, c)
-        _add_row(u_inv_t, src, dst, -c)
+        _add_row(d[dst], d[src].items(), c)
+        _add_row(u[dst], u[src].items(), c)
+        _add_row(u_inv_t[src], u_inv_t[dst].items(), -c)
 
     def add_col(src: int, dst: int, c: int) -> None:
         # col[dst] += c * col[src]; the inverse subtracts row dst from src.
         # Only called to clear row k, once column k is d[k][k] * e_k (src = k)
-        row = d[src]
-        x = row[dst] + c * row[src]
-        if x:
-            row[dst] = x
-        else:
-            del row[dst]
-        _add_row(v_t, dst, src, c)
-        _add_row(v_inv, src, dst, -c)
+        _add_row(d[src], ((dst, d[src][src]),), c)
+        _add_row(v_t[dst], v_t[src].items(), c)
+        _add_row(v_inv[src], v_inv[dst].items(), -c)
 
     for k in range(min(nrows, ncols)):
         where = _pivot(d, k)

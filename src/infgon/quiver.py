@@ -83,15 +83,14 @@ class QuiverWindow:
 
     Construction checks the nodes as `ArcFamily` does (admissible, distinct)
     and that both ends of every arrow are nodes, raising ValueError that names
-    the first bad node or arrow.  `index` maps each node to its position, and
-    `arrow_index` holds the positions of each arrow's ends, found by that check.
+    the first bad node or arrow.  `arrow_index` holds the positions of each
+    arrow's ends, found by that check.
     """
 
     params: CategoryParams
     component: int
     nodes: tuple[Arc, ...]
     arrows: tuple[tuple[Arc, Arc], ...]
-    index: dict[Arc, int] = field(init=False, repr=False, compare=False)
     arrow_index: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -102,7 +101,6 @@ class QuiverWindow:
             if i is None or j is None:
                 raise ValueError(f"arrow {arc_text(s)} -> {arc_text(t)}: an end is not a node")
             pairs.append((i, j))
-        object.__setattr__(self, "index", index)
         object.__setattr__(self, "arrow_index", tuple(pairs))
 
     def to_json_dict(self) -> dict:

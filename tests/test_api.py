@@ -7,6 +7,7 @@ from pathlib import Path
 
 import infgon
 from infgon import (
+    CategoryParams,
     Cokernel,
     IntMatrix,
     K0Basis,
@@ -18,6 +19,7 @@ from infgon import (
     Window,
     angulation,
     arcs,
+    quiver_window,
 )
 
 
@@ -53,6 +55,8 @@ def test_removed_names_are_gone():
     assert not hasattr(RenderOptions, "margin")
     assert not hasattr(K0Basis, "index")
     assert not hasattr(QuiverWindow, "node_index")
+    # the arrow check keeps its node index to itself
+    assert not hasattr(quiver_window(CategoryParams(1), 0, Window(0, 2), 1), "index")
     assert not hasattr(Window, "contains_point")
 
 

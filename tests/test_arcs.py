@@ -72,6 +72,19 @@ def test_arc_rejects_inexact_endpoints():
         Arc(False, True)
 
 
+@pytest.mark.parametrize("data, message", [
+    (["x", 2.0], "arc endpoint t must be an exact integer, got 'x'"),
+    ((True, 3), "arc endpoint t must be an exact integer, got True"),
+    ([1, 2.0], "arc endpoint u must be an exact integer, got 2.0"),
+    ([5, 1], "arc (5, 1): endpoints must satisfy t < u"),
+    ([1, 2, 3], "arc must be a two-element array [t, u], got [1, 2, 3]"),
+])
+def test_arc_from_json_names_the_first_bad_endpoint(data, message):
+    with pytest.raises(ValueError) as excinfo:
+        Arc.from_json(data)
+    assert str(excinfo.value) == message
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         CategoryParams(0)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infgon import Arc, CategoryParams, Window, angulation, enumerate_arcs, k0
+from infgon import Arc, CategoryParams, Window, angulation, enumerate_arcs, k0, render
 from infgon.cli import main
 from oracles import brute_force_arcs
 
@@ -759,9 +759,10 @@ def test_canonical_flag_is_the_symbolic_input_on_every_channel(
     elif m == angulation.MAX_CANONICAL_MEMBERS + 1:
         assert (code, out, built) == (2, "", [m])
         assert err == "error: canonical family of 200001 members is larger than 200000\n"
-    else:  # render arcs has no relation bound: the family is built, and misses the window
-        assert (code, out, built) == (2, "", [m])
-        assert "lies outside the window [-8, 12]" in err
+    else:  # render arcs has no relation bound: it builds up to member 7, the first
+        # one longer than the window, which misses it
+        assert (code, out, built) == (2, "", [7])
+        assert err == "error: arc (-8, 14) lies outside the window [-8, 12]\n"
 
 
 @pytest.mark.parametrize("command", CANONICAL_COMMANDS, ids=" ".join)
@@ -911,6 +912,55 @@ def test_render_arcs_refuses_an_oversized_window_and_writes_no_file(capsys, tmp_
     assert (code, out) == (2, "")
     assert err == "error: window [0, 1000000000000] has more than 2001 points to draw\n"
     assert not target.exists()
+
+
+@pytest.mark.parametrize("m", [0, 5, 6, 7, 8, 200_000, 200_001])
+def test_render_arcs_builds_no_canonical_member_past_the_window(capsys, monkeypatch, m):
+    # n = 3 over [-8, 12]: member i is 1 + 3i long, so members 1-6 fit the
+    # span of 20 and member 7, (-8, 14), is the first that cannot
+    p3 = CategoryParams(3)
+    if m > angulation.MAX_CANONICAL_MEMBERS:
+        want = (2, "", "error: canonical family of 200001 members is larger than 200000\n", [m])
+    elif m < 1:
+        want = (2, "", "error: family size m must be an integer >= 1, got 0\n", [m])
+    elif m <= 6:
+        svg = render.arc_diagram_svg(angulation.canonical_family(p3, m), Window(-8, 12))
+        want = (0, svg, "", [m])
+    else:
+        want = (2, "", "error: arc (-8, 14) lies outside the window [-8, 12]\n", [7])
+    if 7 <= m <= 8:  # the whole family misses the window at the same member
+        with pytest.raises(ValueError) as whole:
+            render.arc_diagram_svg(angulation.canonical_family(p3, m), Window(-8, 12))
+        assert want[2] == f"error: {whole.value}\n"
+    seen = spy_on_canonical_family(monkeypatch)
+    symbolic = {"n": 3, "family": "canonical", "m": m}
+    for argv in (["-n", "3", "--canonical", str(m)], ["--json", json.dumps(symbolic)]):
+        seen.clear()
+        assert (*run(capsys, "render", "arcs", *argv, "--window", "-8", "12"), seen) == want
+
+
+@pytest.mark.parametrize("argv, err", [
+    # a bad M, then a bad n, is named before the window
+    (["-n", "3", "--canonical", "0", "--window", "5", "5"],
+     "family size m must be an integer >= 1, got 0"),
+    (["--json", '{"n": "x", "family": "canonical", "m": 7}', "--window", "5", "5"],
+     "field 'n' must be an integer, got 'x'"),
+    (["--json", '{"n": 0, "family": "canonical", "m": 7}', "--window", "0", "1"],
+     "parameter n must be >= 1, got 0"),
+    (["-n", "3", "--canonical", "200000", "--window", "5", "5"],
+     "window [5, 5]: bounds must satisfy lo < hi"),
+    (["-n", "3", "--canonical", "200000", "--window", "0", "1"],
+     "arc (1, 5) lies outside the window [0, 1]"),
+    (["-n", "1", "--canonical", "200000", "--window", "0", "2001"],
+     "window [0, 2001] has more than 2001 points to draw"),
+    (["-n", "2", "--canonical", "200000", "--window", "0", "1000000000000"],
+     "window [0, 1000000000000] has more than 2001 points to draw"),
+])
+def test_render_arcs_keeps_the_order_of_canonical_errors(capsys, monkeypatch, argv, err):
+    seen = spy_on_canonical_family(monkeypatch)
+    assert run(capsys, "render", "arcs", *argv) == (2, "", f"error: {err}\n")
+    # no more members than a drawable window could show
+    assert all(m <= 2001 for m in seen)
 
 
 def test_render_arcs_rejects_window_that_misses_the_family(capsys):

@@ -104,6 +104,13 @@ CASES = [
     ("refused-k0-verify", ["k0", "verify", "-n", "2", "--m", "1002", "-o", "out.json"]),
     ("refused-k0-present",
      ["k0", "present", "-n", "2", "--canonical", "200000", "-o", "out.json"]),
+    # a canonical family that misses the window of `render arcs`
+    ("refused-render-arcs",
+     ["render", "arcs", "-n", "3", "--canonical", "200000", "--window", "-8", "12",
+      "-o", "arcs.svg"]),
+    # family objects with neither arcs nor a symbolic tag, and arcs that are no array
+    ("refused-k0-present-no-arcs", ["k0", "present", "--json", '{"n": 3}']),
+    ("refused-k0-present-arcs-not-array", ["k0", "present", "--json", '{"n": 3, "arcs": 5}']),
     # figures without labels, and one with highlighted nodes in another component
     # grid; the README pins the labelled ones above
     ("figure-render-arcs-no-labels",

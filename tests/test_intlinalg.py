@@ -96,6 +96,15 @@ def test_constructor_rejects_malformed_terms(row):
         IntMatrix(1, 3, (row,))
 
 
+def test_constructor_and_from_rows_reject_bad_shapes():
+    with pytest.raises(ValueError, match="^matrix dimensions must be non-negative$"):
+        IntMatrix(-1, 0, ())
+    with pytest.raises(ValueError, match="^expected 2 rows, got 1$"):
+        IntMatrix(2, 2, ((),))
+    with pytest.raises(ValueError, match="^declared 3 columns but rows have 2$"):
+        IntMatrix.from_rows([[1, 2]], cols=3)
+
+
 def test_from_rows_checks_the_zeros_it_drops():
     for rows in ([[0.0]], [[0, False]]):
         with pytest.raises(ValueError, match="exact integers"):
@@ -116,6 +125,8 @@ def test_determinant():
     assert IntMatrix.from_rows([[2, 4], [6, 8]]).determinant() == -8
     assert IntMatrix.from_rows([], cols=0).determinant() == 1
     assert IntMatrix.from_rows([[1, 2], [2, 4]]).determinant() == 0
+    # a zero column with no row to swap in ends the elimination early
+    assert IntMatrix.from_rows([[0, 1], [0, 2]]).determinant() == 0
     with pytest.raises(ValueError):
         IntMatrix.from_rows([[1, 2, 3]]).determinant()
 
@@ -190,9 +201,14 @@ def test_snf_self_check_needs_no_determinant_or_dense_product(monkeypatch):
     def forbidden(*_):
         raise AssertionError("the self-check must not call this")
 
+    a = IntMatrix.from_rows([[3, -1, 2], [0, 4, 6], [7, 7, 7]])
     monkeypatch.setattr(IntMatrix, "determinant", forbidden)
     monkeypatch.setattr(IntMatrix, "mul", forbidden)
-    res = smith_normal_form(IntMatrix.from_rows([[3, -1, 2], [0, 4, 6], [7, 7, 7]]))
+    # no dense row either: the reduction and its self-check stay on the nonzeros
+    monkeypatch.setattr("infgon.intlinalg.dense_row", forbidden)
+    monkeypatch.setattr(IntMatrix, "entries", property(forbidden))
+    monkeypatch.setattr(IntMatrix, "from_rows", forbidden)
+    res = smith_normal_form(a)
     assert res.diagonal == (1, 1, 140)
 
 
@@ -240,10 +256,12 @@ def test_snf_transforms_are_pinned(rows, u, v, u_inv, v_inv):
     assert (res.u_inv.entries, res.v_inv.entries) == (u_inv, v_inv)
 
 
-@pytest.mark.parametrize("rows,step", [([[2], [3]], 0), ([[1, 0], [0, 2], [0, 3]], 1)])
+@pytest.mark.parametrize(
+    "rows,step", [([[2], [3]], 0), ([[1, 0], [0, 2], [0, 3]], 1), ([[2, 3]], 0)]
+)
 def test_a_step_that_stops_converging_raises_instead_of_hanging(monkeypatch, rows, step):
-    # with row updates gone, a remainder row is swapped up and back forever.
-    # A 1 x 2 matrix would still end: D's column update needs no row kernel.
+    # with row updates gone, a remainder row is swapped up and back forever;
+    # D's column update goes through the same kernel, so a 1 x 2 matrix stalls too
     monkeypatch.setattr("infgon.intlinalg._add_row", lambda *_: None)
     with pytest.raises(AssertionError, match=f"step {step} did not converge"):
         smith_normal_form(IntMatrix.from_rows(rows))
