@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
-from dataclasses import dataclass, field
 
 from .arcs import (
     Arc,
     CategoryParams,
     Window,
+    _setattr,
+    _Value,
     arc_text,
     crosses,
     minimal_length,
@@ -40,28 +41,31 @@ from .arcs import (
 CANONICAL_TAG = "canonical"
 
 
-@dataclass(frozen=True)
-class ArcFamily:
+class ArcFamily(_Value):
     """An ordered, duplicate-free collection of admissible arcs.
 
     Construction validates every member, so a live ArcFamily never holds an
     inadmissible or unnormalized arc.  Order is preserved: it is the
     generator order for group presentations, and `index` maps each member
-    to its position in it.
+    to its position in it (not compared, not shown).
     """
 
+    _fields = ("params", "arcs")
+    __slots__ = (*_fields, "index")
     params: CategoryParams
     arcs: tuple[Arc, ...]
-    index: dict[Arc, int] = field(init=False, repr=False, compare=False)
+    index: dict[Arc, int]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple(self.arcs))
+    def __init__(self, params: CategoryParams, arcs: tuple[Arc, ...]) -> None:
+        arcs = tuple(arcs)
         index: dict[Arc, int] = {}
-        for i, a in enumerate(self.arcs):
-            require_admissible(self.params, a)
+        for i, a in enumerate(arcs):
+            require_admissible(params, a)
             if index.setdefault(a, i) != i:
                 raise ValueError(f"duplicate arc {arc_text(a)} in family")
-        object.__setattr__(self, "index", index)
+        _setattr(self, "params", params)
+        _setattr(self, "arcs", arcs)
+        _setattr(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.arcs)

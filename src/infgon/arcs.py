@@ -9,12 +9,19 @@ on top of the operations defined here.
 
 All arithmetic is exact: endpoints are plain Python integers and no
 operation ever rounds or truncates.
+
+The value classes here and in `angulation`, `quiver` and `render` are
+frozen classes written by hand on `_Value`, not dataclasses.  Every command
+but `k0` loads only these modules, and importing `dataclasses` (with
+`inspect`) and generating the classes took 8-10 ms of a 70 ms `arcs
+enumerate` process (Python 3.11, 2-CPU x86-64 host).  `k0` and `intlinalg`
+keep `@dataclass`: the tests forge their results with `dataclasses.replace`,
+and the top-first peel planned for `k0` retires most of those classes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 
 def short_repr(value: object) -> str:
@@ -35,35 +42,109 @@ def _require_int(value: object, what: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class CategoryParams:
+_setattr = object.__setattr__  # sets a field of a frozen `_Value` in its __init__
+
+
+class _Value:
+    """Base of the frozen value classes: equality, hash and repr over `_fields`.
+
+    A subclass names its fields in `_fields`, in constructor order, and
+    keeps them in `__slots__`, with any derived slot that is neither
+    compared nor shown (`ArcFamily.index`).  Its __init__ checks the
+    arguments and sets each slot once with `_setattr`; assigning or
+    deleting an attribute afterwards raises AttributeError.  Equality holds
+    only between instances of the same class, and hash, repr, copy and
+    pickle go through the fields, as for a frozen dataclass.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # rebuilt through __init__, which sets the slots that assignment refuses
+        return type(self), self._values()
+
+
+class CategoryParams(_Value):
     """The single model parameter n >= 1."""
 
+    __slots__ = _fields = ("n",)
     n: int
 
-    def __post_init__(self) -> None:
-        _require_int(self.n, "parameter n")
-        if self.n < 1:
-            raise ValueError(f"parameter n must be >= 1, got {short_repr(self.n)}")
+    def __init__(self, n: int) -> None:
+        _require_int(n, "parameter n")
+        if n < 1:
+            raise ValueError(f"parameter n must be >= 1, got {short_repr(n)}")
+        _setattr(self, "n", n)
 
 
-@dataclass(frozen=True, order=True)
-class Arc:
+class Arc(_Value):
     """An arc (t, u) with integer endpoints t < u.
 
     Instances are immutable and ordered lexicographically by (t, u), which is
     the canonical order used for enumeration and reporting.  Construction
     rejects unnormalized input rather than silently swapping endpoints.
+    Equality, hash and order are written out rather than inherited: arcs
+    are dictionary keys and sort keys throughout the package.
     """
 
+    __slots__ = _fields = ("t", "u")
     t: int
     u: int
 
+    def __init__(self, t: int, u: int) -> None:
+        _setattr(self, "t", t)
+        _setattr(self, "u", u)
+        self.__post_init__()  # one hook that sees every arc built, as in a dataclass
+
     def __post_init__(self) -> None:
-        _require_int(self.t, "arc endpoint t")
-        _require_int(self.u, "arc endpoint u")
-        if self.t >= self.u:
+        t, u = self.t, self.u
+        if type(t) is int and type(u) is int and t < u:
+            return  # the common case; the checks below word each defect
+        _require_int(t, "arc endpoint t")
+        _require_int(u, "arc endpoint u")
+        if t >= u:
             raise ValueError(f"arc {arc_text(self)}: endpoints must satisfy t < u")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.t == other.t and self.u == other.u
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.t, self.u))
+
+    # `a > b` and `a >= b` are the reflections `b < a` and `b <= a`
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.t, self.u) < (other.t, other.u)
+        return NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.t, self.u) <= (other.t, other.u)
+        return NotImplemented
 
     @property
     def length(self) -> int:
@@ -79,20 +160,22 @@ class Arc:
         return cls(*data)  # the constructor checks both endpoints
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(_Value):
     """A closed integer interval [lo, hi] with lo < hi."""
 
+    __slots__ = _fields = ("lo", "hi")
     lo: int
     hi: int
 
-    def __post_init__(self) -> None:
-        _require_int(self.lo, "window lo")
-        _require_int(self.hi, "window hi")
-        if self.lo >= self.hi:
+    def __init__(self, lo: int, hi: int) -> None:
+        _require_int(lo, "window lo")
+        _require_int(hi, "window hi")
+        if lo >= hi:
             raise ValueError(
-                f"window [{short_repr(self.lo)}, {short_repr(self.hi)}]: bounds must satisfy lo < hi"
+                f"window [{short_repr(lo)}, {short_repr(hi)}]: bounds must satisfy lo < hi"
             )
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
 
     @property
     def span(self) -> int:

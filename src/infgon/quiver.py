@@ -11,14 +11,14 @@ for inspection, rendering, and tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .angulation import ArcFamily
 from .arcs import (
     Arc,
     CategoryParams,
     Window,
     _require_int,
+    _setattr,
+    _Value,
     arc_text,
     require_admissible,
     short_repr,
@@ -47,13 +47,18 @@ def arrows_from(params: CategoryParams, a: Arc) -> list[Arc]:
     return [Arc(t, u) for t, u in _arrow_targets(params.n, a.t, a.u)]
 
 
-@dataclass(frozen=True)
-class ArTriangle:
+class ArTriangle(_Value):
     """An almost-split triangle start -> middle -> end with start = tau(end)."""
 
+    __slots__ = _fields = ("start", "middle", "end")
     start: Arc
     middle: tuple[Arc, ...]
     end: Arc
+
+    def __init__(self, start: Arc, middle: tuple[Arc, ...], end: Arc) -> None:
+        _setattr(self, "start", start)
+        _setattr(self, "middle", middle)
+        _setattr(self, "end", end)
 
 
 def ar_triangle(params: CategoryParams, end: Arc) -> ArTriangle:
@@ -77,31 +82,42 @@ is ten times the 20 000-node ceiling of the benchmark's quiver jobs.
 """
 
 
-@dataclass(frozen=True)
-class QuiverWindow:
+class QuiverWindow(_Value):
     """A finite rectangle of one quiver component, with the arrows inside it.
 
     Construction checks the nodes as `ArcFamily` does (admissible, distinct)
     and that both ends of every arrow are nodes, raising ValueError that names
     the first bad node or arrow.  `arrow_index` holds the positions of each
-    arrow's ends, found by that check.
+    arrow's ends, found by that check (not compared, not shown).
     """
 
+    _fields = ("params", "component", "nodes", "arrows")
+    __slots__ = (*_fields, "arrow_index")
     params: CategoryParams
     component: int
     nodes: tuple[Arc, ...]
     arrows: tuple[tuple[Arc, Arc], ...]
-    arrow_index: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    arrow_index: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        index = ArcFamily(self.params, self.nodes).index
+    def __init__(
+        self,
+        params: CategoryParams,
+        component: int,
+        nodes: tuple[Arc, ...],
+        arrows: tuple[tuple[Arc, Arc], ...],
+    ) -> None:
+        index = ArcFamily(params, nodes).index
         pairs = []
-        for s, t in self.arrows:
+        for s, t in arrows:
             i, j = index.get(s), index.get(t)
             if i is None or j is None:
                 raise ValueError(f"arrow {arc_text(s)} -> {arc_text(t)}: an end is not a node")
             pairs.append((i, j))
-        object.__setattr__(self, "arrow_index", tuple(pairs))
+        _setattr(self, "params", params)
+        _setattr(self, "component", component)
+        _setattr(self, "nodes", nodes)
+        _setattr(self, "arrows", arrows)
+        _setattr(self, "arrow_index", tuple(pairs))
 
     def to_json_dict(self) -> dict:
         return {

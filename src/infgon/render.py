@@ -13,9 +13,7 @@ Highlighted members additionally carry the "highlight" class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arcs import Arc, Window, require_inside, short_repr
+from .arcs import Arc, Window, _setattr, _Value, require_inside, short_repr
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without the cost of importing typing
 if TYPE_CHECKING:
@@ -43,21 +41,27 @@ _STYLE = (
 )
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(_Value):
     """Canvas geometry and display toggles shared by both figure kinds."""
 
-    width: int = 900
-    height: int = 360
-    labels: bool = True
-    highlight: tuple[Arc, ...] = ()
+    __slots__ = _fields = ("width", "height", "labels", "highlight")
+    width: int
+    height: int
+    labels: bool
+    highlight: tuple[Arc, ...]
 
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
+    def __init__(
+        self, width: int = 900, height: int = 360, labels: bool = True,
+        highlight: tuple[Arc, ...] = (),
+    ) -> None:
+        if width <= 0 or height <= 0:
             raise ValueError("canvas dimensions must be positive")
-        if 2 * _MARGIN >= self.width or 2 * _MARGIN >= self.height:
+        if 2 * _MARGIN >= width or 2 * _MARGIN >= height:
             raise ValueError("margin leaves no drawing area")
-        object.__setattr__(self, "highlight", tuple(self.highlight))
+        _setattr(self, "width", width)
+        _setattr(self, "height", height)
+        _setattr(self, "labels", labels)
+        _setattr(self, "highlight", tuple(highlight))
 
 
 def _svg_open(opts: RenderOptions) -> list[str]:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line: exit codes, JSON shapes, files."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -62,6 +63,23 @@ def test_validate_reads_from_file(capsys, tmp_path):
     code, out = run_json(capsys, "arcs", "validate", "--input", str(path))
     assert code == 0
     assert out["n"] == 1
+
+
+def test_input_path_is_named_and_read_as_pathlib_does(capsys, monkeypatch, tmp_path):
+    # pathlib drops "." parts, repeated and trailing slashes, and reads "" as "."
+    monkeypatch.chdir(tmp_path)
+    Path("family.json").write_text('{"n": 1, "arcs": [[0, 2]]}')
+    Path("sub").mkdir()
+    for given, error in [
+        ("missing.json", "[Errno 2] No such file or directory: 'missing.json'"),
+        ("sub//./missing.json", "[Errno 2] No such file or directory: 'sub/missing.json'"),
+        ("", "[Errno 21] Is a directory: '.'"),
+        ("sub/", "[Errno 21] Is a directory: 'sub'"),
+    ]:
+        assert run(capsys, "arcs", "validate", "--input", given) == (2, "", f"error: {error}\n")
+    for given in ("family.json", "./family.json/", "sub/../family.json"):
+        code, out = run_json(capsys, "arcs", "validate", "--input", given)
+        assert (code, out["arcs"]) == (0, [[0, 2]])
 
 
 def test_parameter_mismatch_between_flag_and_payload(capsys):
@@ -284,6 +302,37 @@ def test_non_utf8_stdin_exits_2_in_a_fresh_process():
 # -------------------------------------------------------- process boundary
 
 
+def test_the_parser_holds_the_commands_of_the_named_group_only(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def recording(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", recording)
+    assert run(capsys, "arcs", "enumerate", "-n", "1", "--window", "0", "3")[0] == 0
+    groups = ["arcs", "quiver", "angulation", "family", "k0", "render"]
+    commands = ["arcs validate", "arcs enumerate"]
+    assert built == ["infgon", *(f"infgon {name}" for name in groups[:1] + commands + groups[1:])]
+
+
+@pytest.mark.parametrize("argv, err", [
+    # the parser holds one group's commands: the one argparse reads as GROUP,
+    # the first argument that is no option, whatever comes before it
+    (["-x", "arcs", "enumerate", "-n", "1", "--window", "0", "3"],
+     "usage: infgon [-h] GROUP ...\ninfgon: error: unrecognized arguments: -x\n"),
+    (["arcs", "k0"],
+     "usage: infgon arcs [-h] COMMAND ...\ninfgon arcs: error: argument COMMAND: invalid choice: "
+     "'k0' (choose from 'validate', 'enumerate')\n"),
+])
+def test_usage_errors_name_the_group_argparse_read(capsys, monkeypatch, argv, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main(argv)
+    assert (done.value.code, *capsys.readouterr()) == (2, "", err)
+
+
 def test_exit_codes_reach_the_shell():
     # `sys.exit(main())` under `python -m infgon.cli`, as a shell sees it
     def shell(*argv):
@@ -301,21 +350,58 @@ def test_exit_codes_reach_the_shell():
     assert malformed.stderr.startswith("error:") and malformed.stderr.count("\n") == 1
 
 
-def test_arcs_enumerate_loads_only_the_modules_it_runs():
-    argv = ["arcs", "enumerate", "-n", "1", "--window", "0", "3"]
+def modules_loaded(argv):
+    """The finished process of `python -S -X importtime -m infgon.cli *argv`, and
+    the modules it imported.  -S keeps out what a site file preloads."""
     done = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "infgon.cli", *argv],
+        [sys.executable, "-S", "-X", "importtime", "-m", "infgon.cli", *argv],
         env=fresh_env(), capture_output=True, text=True,
     )
-    assert (done.returncode, done.stdout) == (0, arc_list_report(1, 0, 3, "json"))
     # -X importtime logs "import time: self | cumulative | name" per module loaded
     loaded = {
         line.rsplit("|", 1)[1].strip()
         for line in done.stderr.splitlines()
         if line.startswith("import time:")
     }
+    return done, loaded
+
+
+# what a command outside k0 does without: its value classes are written by
+# hand, not with dataclasses (which imports inspect), and --input is read by open()
+NOT_LOADED = {"dataclasses", "inspect", "pathlib"}
+
+
+def test_arcs_enumerate_loads_only_the_modules_it_runs():
+    done, loaded = modules_loaded(["arcs", "enumerate", "-n", "1", "--window", "0", "3"])
+    assert (done.returncode, done.stdout) == (0, arc_list_report(1, 0, 3, "json"))
     assert {"infgon", "infgon.arcs", "infgon.render"} <= loaded
     assert not loaded & {"infgon.k0", "infgon.intlinalg", "infgon.angulation", "infgon.quiver"}
+    assert not loaded & NOT_LOADED
+
+
+# (a command of each group but k0, the infgon modules it loads beyond those
+# that `arcs enumerate` loads)
+GROUP_COMMANDS = [
+    (["arcs", "validate", "-n", "3", "--json", "[[1,5]]"], {"angulation"}),
+    (["angulation", "check", "-n", "3", "--json", "[[1,5]]", "--window", "0", "5"],
+     {"angulation"}),
+    (["family", "canonical", "-n", "3", "--m", "4"], {"angulation"}),
+    (["quiver", "window", "-n", "1", "--component", "0", "--trange", "0", "2", "--depth", "2"],
+     {"angulation", "quiver"}),
+    (["render", "arcs", "-n", "3", "--canonical", "5", "--window", "-8", "12"], {"angulation"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, modules", GROUP_COMMANDS, ids=[" ".join(argv[:2]) for argv, _ in GROUP_COMMANDS]
+)
+def test_every_other_group_loads_only_the_modules_it_runs(argv, modules):
+    done, loaded = modules_loaded(argv)
+    assert done.returncode == 0
+    assert all(line.startswith("import time:") for line in done.stderr.splitlines())
+    infgon = {"infgon", "infgon.arcs", "infgon.render", *(f"infgon.{m}" for m in modules)}
+    assert {m for m in loaded if m.split(".")[0] == "infgon"} == infgon
+    assert not loaded & NOT_LOADED
 
 
 def test_the_benchmark_imports_load_every_module():

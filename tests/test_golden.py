@@ -6,10 +6,14 @@ stderr, then every file the command wrote) must equal
 `tests/golden/<name>.txt` byte for byte.  The corpus pins behaviour across
 refactors: a change that is meant to alter output edits the affected files
 by hand and says so in CHANGES.md.  The `--help` and usage texts come from
-argparse as shipped with Python 3.11, which CI pins.
+argparse as shipped with Python 3.11, which CI pins.  A few cases also run
+as `python -m infgon.cli`, where `main()` reads its arguments from sys.argv.
 """
 
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,6 +150,25 @@ def test_cli_matches_golden(name, argv, capsys, monkeypatch, tmp_path):
     for path in sorted(tmp_path.iterdir()):
         got += f"--- file {path.name}\n{path.read_text(encoding='utf-8')}"
     assert got == (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
+
+
+# cases whose parser `main()` builds from sys.argv, in a fresh process
+PROCESS_CASES = ["help", "help-arcs", "help-k0-verify", "usage-no-group", "usage-no-command",
+                 "usage-bad-integer"]
+
+
+@pytest.mark.parametrize("name", PROCESS_CASES)
+def test_process_matches_golden(name, tmp_path):
+    argv = dict(CASES)[name]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "COLUMNS": "80", "NO_COLOR": "1",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "infgon.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True)
+    got = (f"$ {shlex.join(['infgon', *argv])}\nexit: {done.returncode}\n"
+           f"--- stdout\n{done.stdout.decode()}--- stderr\n{done.stderr.decode()}")
+    assert got == (GOLDEN / f"{name}.txt").read_bytes().decode("utf-8")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("name, draw", FIGURES, ids=[name for name, _ in FIGURES])
