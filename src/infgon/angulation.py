@@ -26,9 +26,8 @@ from collections.abc import Iterator
 from .arcs import (
     Arc,
     CategoryParams,
+    FrozenValue,
     Window,
-    _setattr,
-    _Value,
     arc_text,
     crosses,
     minimal_length,
@@ -41,7 +40,7 @@ from .arcs import (
 CANONICAL_TAG = "canonical"
 
 
-class ArcFamily(_Value):
+class ArcFamily(FrozenValue):
     """An ordered, duplicate-free collection of admissible arcs.
 
     Construction validates every member, so a live ArcFamily never holds an
@@ -63,9 +62,9 @@ class ArcFamily(_Value):
             require_admissible(params, a)
             if index.setdefault(a, i) != i:
                 raise ValueError(f"duplicate arc {arc_text(a)} in family")
-        _setattr(self, "params", params)
-        _setattr(self, "arcs", arcs)
-        _setattr(self, "index", index)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:
         return len(self.arcs)

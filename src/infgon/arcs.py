@@ -11,8 +11,8 @@ All arithmetic is exact: endpoints are plain Python integers and no
 operation ever rounds or truncates.
 
 The value classes here and in `angulation`, `quiver` and `render` are
-frozen classes written by hand on `_Value`, not dataclasses.  Every command
-but `k0` loads only these modules, and importing `dataclasses` (with
+frozen classes written by hand on `FrozenValue`, not dataclasses.  Every
+command but `k0` loads only these modules, and importing `dataclasses` (with
 `inspect`) and generating the classes took 8-10 ms of a 70 ms `arcs
 enumerate` process (Python 3.11, 2-CPU x86-64 host).  `k0` and `intlinalg`
 keep `@dataclass`: the tests forge their results with `dataclasses.replace`,
@@ -22,6 +22,7 @@ and the top-first peel planned for `k0` retires most of those classes.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
+from operator import attrgetter
 
 
 def short_repr(value: object) -> str:
@@ -42,37 +43,41 @@ def _require_int(value: object, what: str) -> int:
     return value
 
 
-_setattr = object.__setattr__  # sets a field of a frozen `_Value` in its __init__
+_setattr = object.__setattr__  # looked up once: arcs are built in the hottest loops
 
 
-class _Value:
+class FrozenValue:
     """Base of the frozen value classes: equality, hash and repr over `_fields`.
 
     A subclass names its fields in `_fields`, in constructor order, and
     keeps them in `__slots__`, with any derived slot that is neither
     compared nor shown (`ArcFamily.index`).  Its __init__ checks the
-    arguments and sets each slot once with `_setattr`; assigning or
-    deleting an attribute afterwards raises AttributeError.  Equality holds
-    only between instances of the same class, and hash, repr, copy and
-    pickle go through the fields, as for a frozen dataclass.
+    arguments and sets each slot once with `object.__setattr__`; assigning
+    or deleting an attribute afterwards raises AttributeError.  Equality
+    holds only between instances of the same class, and hash, repr, copy
+    and pickle go through the fields, as for a frozen dataclass.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _values: tuple  # the fields' values, in order
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        get = attrgetter(*cls._fields)
+        # attrgetter gives the bare value for one name and a tuple for several
+        cls._values = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values == other._values
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -83,10 +88,10 @@ class _Value:
 
     def __reduce__(self) -> tuple:
         # rebuilt through __init__, which sets the slots that assignment refuses
-        return type(self), self._values()
+        return type(self), self._values
 
 
-class CategoryParams(_Value):
+class CategoryParams(FrozenValue):
     """The single model parameter n >= 1."""
 
     __slots__ = _fields = ("n",)
@@ -99,14 +104,12 @@ class CategoryParams(_Value):
         _setattr(self, "n", n)
 
 
-class Arc(_Value):
+class Arc(FrozenValue):
     """An arc (t, u) with integer endpoints t < u.
 
     Instances are immutable and ordered lexicographically by (t, u), which is
     the canonical order used for enumeration and reporting.  Construction
     rejects unnormalized input rather than silently swapping endpoints.
-    Equality, hash and order are written out rather than inherited: arcs
-    are dictionary keys and sort keys throughout the package.
     """
 
     __slots__ = _fields = ("t", "u")
@@ -127,23 +130,15 @@ class Arc(_Value):
         if t >= u:
             raise ValueError(f"arc {arc_text(self)}: endpoints must satisfy t < u")
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.t == other.t and self.u == other.u
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.t, self.u))
-
     # `a > b` and `a >= b` are the reflections `b < a` and `b <= a`
     def __lt__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return (self.t, self.u) < (other.t, other.u)
+            return self._values < other._values
         return NotImplemented
 
     def __le__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return (self.t, self.u) <= (other.t, other.u)
+            return self._values <= other._values
         return NotImplemented
 
     @property
@@ -160,7 +155,7 @@ class Arc(_Value):
         return cls(*data)  # the constructor checks both endpoints
 
 
-class Window(_Value):
+class Window(FrozenValue):
     """A closed integer interval [lo, hi] with lo < hi."""
 
     __slots__ = _fields = ("lo", "hi")

@@ -18,8 +18,8 @@ At module level only `arcs` and `render` are imported.  A handler imports
 `angulation`, `quiver` or `k0` when it runs and calls through the module.
 Outside `k0` no module imports `dataclasses`: the value classes are written
 by hand (see `arcs`), since that import with `inspect` took more than a
-tenth of a short command's time.  The parser holds the commands of the group
-that the command line names only, and --input is read with `open`.
+tenth of a short command's time.  The parser adds the commands of a group
+only when argparse reads that group (`_GroupParser`).
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import nullcontext
 from itertools import chain
+from pathlib import Path
 
 from .arcs import Arc, CategoryParams, Window, window_arc_count, window_rows
 from .render import MAX_DIAGRAM_POINTS, RenderOptions, arc_diagram_svg, quiver_svg
@@ -45,11 +46,7 @@ EXIT_INPUT = 2
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    # argparse takes the first argument that is not an option as the group
-    group = next((arg for arg in argv if not arg.startswith("-")), None)
-    args = _build_parser(group).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (ValueError, json.JSONDecodeError, OSError) as exc:
@@ -64,7 +61,7 @@ def _payload(args: argparse.Namespace) -> object:
     if args.json is not None:
         text = args.json
     elif args.input is not None:
-        text = _read_input(args.input)
+        text = Path(args.input).read_text(encoding="utf-8")
     elif sys.stdin is None or sys.stdin.isatty():  # None: the process has no fd 0
         raise ValueError("no input: use --input PATH or --json STR (or pipe JSON to stdin)")
     else:
@@ -73,19 +70,6 @@ def _payload(args: argparse.Namespace) -> object:
         return json.loads(text)
     except RecursionError:
         raise ValueError("input JSON is nested too deeply") from None
-
-
-def _read_input(path: str) -> str:
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read()
-    except OSError:
-        # pathlib, loaded only here, words the error as --input always has:
-        # it names the path normalized ("." for "", "a/b" for "a//./b/") and
-        # reads "x.json/" as "x.json"
-        from pathlib import Path
-
-        return Path(path).read_text(encoding="utf-8")
 
 
 def _family_from_args(
@@ -419,29 +403,44 @@ _COMMANDS = (
 )
 
 
-def _build_parser(wanted: str | None) -> argparse.ArgumentParser:
-    """The parser of every group, holding the commands of the `wanted` group only.
+class _GroupParser(argparse.ArgumentParser):
+    """The parser of one group, which adds the group's commands when argparse
+    first hands it the rest of a command line.
 
-    Every group is added with its help, so the usage and --help texts list
-    them all; a command line reaches the commands of one group at most, and
-    a parser with one group's commands took 0.8 ms to build against 2.2 ms
-    with all of them (Python 3.11, 2-CPU x86-64 host).
+    So a process builds the commands of the group that argparse itself read
+    as GROUP, and no others: a parser with one group's commands took 0.8 ms
+    to build against 2.2 ms with all of them (Python 3.11, 2-CPU x86-64 host).
     """
+
+    def __init__(self, *args, commands=(), **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._commands = commands
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._commands:
+            sub = self.add_subparsers(
+                dest="command", metavar="COMMAND", required=True,
+                parser_class=argparse.ArgumentParser,
+            )
+            for command, command_help, options, handler in self._commands:
+                p = sub.add_parser(command, help=command_help)
+                for flags, kwargs in options:
+                    p.add_argument(*flags, **kwargs)
+                p.set_defaults(handler=handler)
+            self._commands = ()
+        return super().parse_known_args(args, namespace)
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infgon",
         description="Arc model of the n-cluster categories of the infinity-gon.",
     )
-    groups = parser.add_subparsers(dest="group", metavar="GROUP", required=True)
+    groups = parser.add_subparsers(
+        dest="group", metavar="GROUP", required=True, parser_class=_GroupParser
+    )
     for group, group_help, commands in _COMMANDS:
-        sub = groups.add_parser(group, help=group_help)
-        if group != wanted:
-            continue
-        sub = sub.add_subparsers(dest="command", metavar="COMMAND", required=True)
-        for command, command_help, options, handler in commands:
-            p = sub.add_parser(command, help=command_help)
-            for flags, kwargs in options:
-                p.add_argument(*flags, **kwargs)
-            p.set_defaults(handler=handler)
+        groups.add_parser(group, help=group_help, commands=commands)
     return parser
 
 

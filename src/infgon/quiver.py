@@ -15,10 +15,9 @@ from .angulation import ArcFamily
 from .arcs import (
     Arc,
     CategoryParams,
+    FrozenValue,
     Window,
     _require_int,
-    _setattr,
-    _Value,
     arc_text,
     require_admissible,
     short_repr,
@@ -47,7 +46,7 @@ def arrows_from(params: CategoryParams, a: Arc) -> list[Arc]:
     return [Arc(t, u) for t, u in _arrow_targets(params.n, a.t, a.u)]
 
 
-class ArTriangle(_Value):
+class ArTriangle(FrozenValue):
     """An almost-split triangle start -> middle -> end with start = tau(end)."""
 
     __slots__ = _fields = ("start", "middle", "end")
@@ -56,9 +55,9 @@ class ArTriangle(_Value):
     end: Arc
 
     def __init__(self, start: Arc, middle: tuple[Arc, ...], end: Arc) -> None:
-        _setattr(self, "start", start)
-        _setattr(self, "middle", middle)
-        _setattr(self, "end", end)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "middle", middle)
+        object.__setattr__(self, "end", end)
 
 
 def ar_triangle(params: CategoryParams, end: Arc) -> ArTriangle:
@@ -82,7 +81,7 @@ is ten times the 20 000-node ceiling of the benchmark's quiver jobs.
 """
 
 
-class QuiverWindow(_Value):
+class QuiverWindow(FrozenValue):
     """A finite rectangle of one quiver component, with the arrows inside it.
 
     Construction checks the nodes as `ArcFamily` does (admissible, distinct)
@@ -113,11 +112,11 @@ class QuiverWindow(_Value):
             if i is None or j is None:
                 raise ValueError(f"arrow {arc_text(s)} -> {arc_text(t)}: an end is not a node")
             pairs.append((i, j))
-        _setattr(self, "params", params)
-        _setattr(self, "component", component)
-        _setattr(self, "nodes", nodes)
-        _setattr(self, "arrows", arrows)
-        _setattr(self, "arrow_index", tuple(pairs))
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "arrow_index", tuple(pairs))
 
     def to_json_dict(self) -> dict:
         return {

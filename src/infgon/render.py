@@ -13,7 +13,7 @@ Highlighted members additionally carry the "highlight" class.
 
 from __future__ import annotations
 
-from .arcs import Arc, Window, _setattr, _Value, require_inside, short_repr
+from .arcs import Arc, FrozenValue, Window, require_inside, short_repr
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without the cost of importing typing
 if TYPE_CHECKING:
@@ -41,7 +41,7 @@ _STYLE = (
 )
 
 
-class RenderOptions(_Value):
+class RenderOptions(FrozenValue):
     """Canvas geometry and display toggles shared by both figure kinds."""
 
     __slots__ = _fields = ("width", "height", "labels", "highlight")
@@ -58,10 +58,10 @@ class RenderOptions(_Value):
             raise ValueError("canvas dimensions must be positive")
         if 2 * _MARGIN >= width or 2 * _MARGIN >= height:
             raise ValueError("margin leaves no drawing area")
-        _setattr(self, "width", width)
-        _setattr(self, "height", height)
-        _setattr(self, "labels", labels)
-        _setattr(self, "highlight", tuple(highlight))
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "height", height)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "highlight", tuple(highlight))
 
 
 def _svg_open(opts: RenderOptions) -> list[str]:

@@ -314,14 +314,17 @@ def test_the_parser_holds_the_commands_of_the_named_group_only(capsys, monkeypat
     assert run(capsys, "arcs", "enumerate", "-n", "1", "--window", "0", "3")[0] == 0
     groups = ["arcs", "quiver", "angulation", "family", "k0", "render"]
     commands = ["arcs validate", "arcs enumerate"]
-    assert built == ["infgon", *(f"infgon {name}" for name in groups[:1] + commands + groups[1:])]
+    assert built == ["infgon", *(f"infgon {name}" for name in groups + commands)]
 
 
 @pytest.mark.parametrize("argv, err", [
-    # the parser holds one group's commands: the one argparse reads as GROUP,
-    # the first argument that is no option, whatever comes before it
+    # a group's commands are added when argparse reads it as GROUP, so the
+    # errors are those of the parser that holds every command
     (["-x", "arcs", "enumerate", "-n", "1", "--window", "0", "3"],
      "usage: infgon [-h] GROUP ...\ninfgon: error: unrecognized arguments: -x\n"),
+    (["-5", "arcs", "enumerate", "-n", "1", "--window", "0", "3"],
+     "usage: infgon [-h] GROUP ...\ninfgon: error: argument GROUP: invalid choice: '-5' "
+     "(choose from 'arcs', 'quiver', 'angulation', 'family', 'k0', 'render')\n"),
     (["arcs", "k0"],
      "usage: infgon arcs [-h] COMMAND ...\ninfgon arcs: error: argument COMMAND: invalid choice: "
      "'k0' (choose from 'validate', 'enumerate')\n"),
@@ -367,8 +370,8 @@ def modules_loaded(argv):
 
 
 # what a command outside k0 does without: its value classes are written by
-# hand, not with dataclasses (which imports inspect), and --input is read by open()
-NOT_LOADED = {"dataclasses", "inspect", "pathlib"}
+# hand, not with dataclasses (which imports inspect)
+NOT_LOADED = {"dataclasses", "inspect"}
 
 
 def test_arcs_enumerate_loads_only_the_modules_it_runs():

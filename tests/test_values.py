@@ -98,6 +98,7 @@ def test_arcs_are_ordered_by_t_then_u():
     a, b = Arc(1, 3), Arc(1, 4)
     assert a < b and a <= b and b > a and b >= a and a <= Arc(1, 3) and a >= Arc(1, 3)
     assert not (b < a or b <= a or a > b or a >= b)
+    assert not (a < Arc(1, 3) or a > Arc(1, 3))
     arcs = [Arc(2, 4), Arc(-1, 5), Arc(1, 4), Arc(1, 3)]
     assert sorted(arcs) == [Arc(-1, 5), Arc(1, 3), Arc(1, 4), Arc(2, 4)]
     assert max(arcs) == Arc(2, 4) and min(arcs) == Arc(-1, 5)
