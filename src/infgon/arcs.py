@@ -10,13 +10,11 @@ on top of the operations defined here.
 All arithmetic is exact: endpoints are plain Python integers and no
 operation ever rounds or truncates.
 
-The value classes here and in `angulation`, `quiver` and `render` are
-frozen classes written by hand on `FrozenValue`, not dataclasses.  Every
-command but `k0` loads only these modules, and importing `dataclasses` (with
-`inspect`) and generating the classes took 8-10 ms of a 70 ms `arcs
-enumerate` process (Python 3.11, 2-CPU x86-64 host).  `k0` and `intlinalg`
-keep `@dataclass`: the tests forge their results with `dataclasses.replace`,
-and the top-first peel planned for `k0` retires most of those classes.
+Every value class of the package, here and in the other modules, is a
+frozen class written by hand on `FrozenValue`, not a dataclass: importing
+`dataclasses` (with `inspect`) and generating the classes took 8-10 ms of a
+70 ms `arcs enumerate` process and 11 ms of a 77 ms `k0 verify` one
+(Python 3.11, 2-CPU x86-64 host).
 """
 
 from __future__ import annotations
@@ -55,7 +53,9 @@ class FrozenValue:
     arguments and sets each slot once with `object.__setattr__`; assigning
     or deleting an attribute afterwards raises AttributeError.  Equality
     holds only between instances of the same class, and hash, repr, copy
-    and pickle go through the fields, as for a frozen dataclass.
+    and pickle go through the fields, as for a frozen dataclass.  A class
+    whose constructor also takes a slot that is not a field
+    (`TheoremReport.arcs`) passes it on in its own `__reduce__`.
     """
 
     __slots__ = ()

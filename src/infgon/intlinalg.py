@@ -35,10 +35,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from itertools import chain, zip_longest
 
-from .arcs import short_repr
+from .arcs import FrozenValue, short_repr
 
 
 def _require_ints(values: Sequence[object]) -> None:
@@ -57,32 +56,37 @@ def dense_row(terms: Iterable[tuple[int, int]], width: int) -> tuple[int, ...]:
     return tuple(row)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(FrozenValue):
     """An immutable rectangular matrix of exact integers, stored by its nonzeros.
 
     `terms[i]` holds the (column, value) pairs of row i's nonzero entries in
     ascending column order, so equal matrices have equal terms.  Dimensions
     are stored explicitly so that matrices with zero rows or columns
-    round-trip cleanly.
+    round-trip cleanly.  Construction checks all of this.
     """
 
+    __slots__ = _fields = ("rows", "cols", "terms")
     rows: int
     cols: int
     terms: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(
+        self, rows: int, cols: int, terms: tuple[tuple[tuple[int, int], ...], ...]
+    ) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if len(self.terms) != self.rows:
-            raise ValueError(f"expected {self.rows} rows, got {len(self.terms)}")
-        for row in self.terms:
+        if len(terms) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(terms)}")
+        for row in terms:
             js, xs = zip(*row) if row else ((), ())
             _require_ints(js + xs)
-            if list(js) != sorted(set(js)) or js and not 0 <= js[0] <= js[-1] < self.cols:
-                raise ValueError(f"columns must ascend in [0, {self.cols}), got {short_repr(js)}")
+            if list(js) != sorted(set(js)) or js and not 0 <= js[0] <= js[-1] < cols:
+                raise ValueError(f"columns must ascend in [0, {cols}), got {short_repr(js)}")
             if 0 in xs:
                 raise ValueError("matrix terms must not store a zero")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "terms", terms)
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -139,20 +143,31 @@ class IntMatrix:
         return sign * a[k - 1][k - 1]
 
 
-@dataclass(frozen=True)
-class SnfResult:
+class SnfResult(FrozenValue):
     """Smith decomposition U * A * V = D of `matrix`, with D stored as its diagonal.
 
     `u_inv` and `v_inv` are the inverses of U and V; they are the
-    certificate that `verify` checks.
+    certificate that `verify` checks; construction checks nothing.
     """
 
+    __slots__ = _fields = ("matrix", "u", "diagonal", "v", "u_inv", "v_inv")
     matrix: IntMatrix
     u: IntMatrix
     diagonal: tuple[int, ...]
     v: IntMatrix
     u_inv: IntMatrix
     v_inv: IntMatrix
+
+    def __init__(
+        self, matrix: IntMatrix, u: IntMatrix, diagonal: tuple[int, ...], v: IntMatrix,
+        u_inv: IntMatrix, v_inv: IntMatrix,
+    ) -> None:
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "diagonal", diagonal)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "u_inv", u_inv)
+        object.__setattr__(self, "v_inv", v_inv)
 
     @property
     def rank(self) -> int:
@@ -379,8 +394,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
     return result
 
 
-@dataclass(frozen=True)
-class Cokernel:
+class Cokernel(FrozenValue):
     """The quotient of Z^g by the row span of a relation matrix.
 
     `classes[j]` is the image of generator j: its torsion components first
@@ -390,10 +404,20 @@ class Cokernel:
     first generator with a nonzero coordinate gets a positive one.
     """
 
+    __slots__ = _fields = ("generators", "invariant_factors", "free_rank", "classes")
     generators: int
     invariant_factors: tuple[int, ...]
     free_rank: int
     classes: tuple[tuple[int, ...], ...]
+
+    def __init__(
+        self, generators: int, invariant_factors: tuple[int, ...], free_rank: int,
+        classes: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "classes", classes)
 
     def project(self, vector: list[int] | tuple[int, ...]) -> tuple[int, ...]:
         if len(vector) != self.generators:

@@ -31,27 +31,28 @@ for such input are labeled "upper-bound presentation" and never claim more.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .angulation import MAX_CANONICAL_MEMBERS, ArcFamily, canonical_family, require_noncrossing
-from .arcs import Arc, CategoryParams, short_repr
+from .arcs import Arc, CategoryParams, FrozenValue, short_repr
 from .intlinalg import IntMatrix, cokernel_from, dense_row, smith_normal_form
 from .quiver import ar_triangle, arrows_from
 
 
-@dataclass(frozen=True)
-class K0Basis:
+class K0Basis(FrozenValue):
     """A family viewed as an ordered free basis; member i is generator i."""
 
+    __slots__ = _fields = ("family",)
     family: ArcFamily
+
+    def __init__(self, family: ArcFamily) -> None:
+        object.__setattr__(self, "family", family)
 
     @property
     def size(self) -> int:
         return len(self.family.arcs)
 
 
-@dataclass(frozen=True)
-class RelationVector:
+class RelationVector(FrozenValue):
     """An integer relation on `generators` basis elements, sign-normalized for dedup.
 
     `terms` are the nonzero (generator, coefficient) pairs in ascending
@@ -60,8 +61,13 @@ class RelationVector:
     only the normal form is ever stored.
     """
 
+    __slots__ = _fields = ("generators", "terms")
     generators: int
     terms: tuple[tuple[int, int], ...]
+
+    def __init__(self, generators: int, terms: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "terms", terms)
 
     @property
     def coefficients(self) -> tuple[int, ...]:
@@ -124,15 +130,25 @@ def _classes_json(arcs: tuple[Arc, ...], classes: tuple[tuple[int, ...], ...]) -
     return {f"[{a.t},{a.u}]": list(c) for a, c in zip(arcs, classes)}
 
 
-@dataclass(frozen=True)
-class K0Presentation:
+class K0Presentation(FrozenValue):
     """The reduced quotient of the split group by the visible relations."""
 
+    __slots__ = _fields = ("basis", "relations", "invariant_factors", "free_rank", "classes")
     basis: K0Basis
     relations: tuple[RelationVector, ...]
     invariant_factors: tuple[int, ...]
     free_rank: int
     classes: tuple[tuple[int, ...], ...]
+
+    def __init__(
+        self, basis: K0Basis, relations: tuple[RelationVector, ...],
+        invariant_factors: tuple[int, ...], free_rank: int, classes: tuple[tuple[int, ...], ...],
+    ) -> None:
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "classes", classes)
 
     def to_json_dict(self) -> dict:
         family = self.basis.family
@@ -262,10 +278,18 @@ def expected_canonical_class(params: CategoryParams, i: int) -> int:
     return (-1) ** ((i - 1) // 2)
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    """Outcome of checking one canonical truncation against the known answer."""
+class TheoremReport(FrozenValue):
+    """Outcome of checking one canonical truncation against the known answer.
 
+    `arcs`, the truncation's members, is neither compared nor shown, but
+    copy and pickle keep it.
+    """
+
+    _fields = (
+        "params", "truncation", "free_rank", "invariant_factors", "classes", "relations_used",
+        "passed", "first_violation",
+    )
+    __slots__ = (*_fields, "arcs")
     params: CategoryParams
     truncation: int
     free_rank: int
@@ -274,7 +298,25 @@ class TheoremReport:
     relations_used: int
     passed: bool
     first_violation: str | None
-    arcs: tuple[Arc, ...] = field(compare=False, repr=False)
+    arcs: tuple[Arc, ...]
+
+    def __init__(
+        self, params: CategoryParams, truncation: int, free_rank: int,
+        invariant_factors: tuple[int, ...], classes: tuple[tuple[int, ...], ...],
+        relations_used: int, passed: bool, first_violation: str | None, arcs: tuple[Arc, ...],
+    ) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "relations_used", relations_used)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "first_violation", first_violation)
+        object.__setattr__(self, "arcs", arcs)
+
+    def __reduce__(self) -> tuple:
+        return type(self), (*self._values, self.arcs)
 
     def to_json_dict(self) -> dict:
         return {

@@ -11,6 +11,17 @@ from math import gcd
 from infgon import Arc, CategoryParams, IntMatrix, Window, is_admissible
 
 
+def forge(value, **changes):
+    """A copy of the frozen `value` built through its constructor, with `changes`.
+
+    Every field named in `_fields` is passed on unless `changes` replaces
+    it; a constructor argument that is not a field (`TheoremReport.arcs`)
+    must be given in `changes`.  The constructor's own checks run, as they
+    would for any caller.
+    """
+    return type(value)(**{f: getattr(value, f) for f in value._fields} | changes)
+
+
 def crossing_oracle(a: Arc, b: Arc) -> bool:
     """Interval formulation: overlap, no shared endpoint, no containment."""
     if {a.t, a.u} & {b.t, b.u}:

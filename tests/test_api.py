@@ -2,6 +2,8 @@
 and the runtime code imports nothing outside the standard library."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,9 +45,9 @@ def test_removed_names_are_gone():
     assert not hasattr(IntMatrix, "identity")
     assert not hasattr(SnfResult, "invariant_factors")
     # D is stored as the `diagonal` field: no dense `d`, no `diagonal()` method
-    assert "diagonal" in SnfResult.__dataclass_fields__
+    assert "diagonal" in SnfResult._fields
     assert not hasattr(SnfResult, "d")
-    assert not hasattr(SnfResult, "diagonal")
+    assert not callable(SnfResult.diagonal)
     assert not hasattr(RelationVector, "evaluate")
     assert not hasattr(IntMatrix, "to_json")
     assert not hasattr(RelationVector, "is_zero")
@@ -90,3 +92,18 @@ def test_runtime_imports_are_stdlib_only():
             for name in names:
                 top = name.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_the_cli_and_k0_load_neither_dataclasses_nor_inspect():
+    # the value classes are written by hand; -S, since a site file may load
+    # modules of its own
+    code = (
+        "import sys, infgon.cli, infgon.k0\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 
 from infgon import Arc, CategoryParams, Window, angulation, enumerate_arcs, k0, render
 from infgon.cli import main
-from oracles import brute_force_arcs
+from oracles import brute_force_arcs, forge
 
 
 def run(capsys, *argv):
@@ -369,8 +368,8 @@ def modules_loaded(argv):
     return done, loaded
 
 
-# what a command outside k0 does without: its value classes are written by
-# hand, not with dataclasses (which imports inspect)
+# what every command does without: the value classes are written by hand,
+# not with dataclasses (which imports inspect)
 NOT_LOADED = {"dataclasses", "inspect"}
 
 
@@ -382,8 +381,9 @@ def test_arcs_enumerate_loads_only_the_modules_it_runs():
     assert not loaded & NOT_LOADED
 
 
-# (a command of each group but k0, the infgon modules it loads beyond those
-# that `arcs enumerate` loads)
+# (a command of each group, the infgon modules it loads beyond those that
+# `arcs enumerate` loads)
+K0_MODULES = {"angulation", "intlinalg", "k0", "quiver"}
 GROUP_COMMANDS = [
     (["arcs", "validate", "-n", "3", "--json", "[[1,5]]"], {"angulation"}),
     (["angulation", "check", "-n", "3", "--json", "[[1,5]]", "--window", "0", "5"],
@@ -392,13 +392,15 @@ GROUP_COMMANDS = [
     (["quiver", "window", "-n", "1", "--component", "0", "--trange", "0", "2", "--depth", "2"],
      {"angulation", "quiver"}),
     (["render", "arcs", "-n", "3", "--canonical", "5", "--window", "-8", "12"], {"angulation"}),
+    (["k0", "present", "-n", "2", "--canonical", "6"], K0_MODULES),
+    (["k0", "verify", "-n", "3", "--m", "20"], K0_MODULES),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, modules", GROUP_COMMANDS, ids=[" ".join(argv[:2]) for argv, _ in GROUP_COMMANDS]
 )
-def test_every_other_group_loads_only_the_modules_it_runs(argv, modules):
+def test_every_group_loads_only_the_modules_it_runs(argv, modules):
     done, loaded = modules_loaded(argv)
     assert done.returncode == 0
     assert all(line.startswith("import time:") for line in done.stderr.splitlines())
@@ -906,7 +908,7 @@ def test_verify_text_output_of_a_failure(capsys, monkeypatch):
     monkeypatch.setenv("NO_COLOR", "1")
     real = k0.k0_presentation
     monkeypatch.setattr(
-        k0, "k0_presentation", lambda params, family: replace(real(params, family), free_rank=2)
+        k0, "k0_presentation", lambda params, family: forge(real(params, family), free_rank=2)
     )
     code, out, _ = run(
         capsys, "k0", "verify", "-n", "2", "--m", "4", "--format", "text"

@@ -1,7 +1,6 @@
 """Tests for exact integer matrices, Smith normal form, and cokernels."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +20,13 @@ from infgon import (
     enumerate_arcs,
     smith_normal_form,
 )
-from oracles import dense_smith_oracle, diagonal_matrix, identity, invariant_factors_oracle
+from oracles import (
+    dense_smith_oracle,
+    diagonal_matrix,
+    forge,
+    identity,
+    invariant_factors_oracle,
+)
 
 
 # ------------------------------------------------------------- IntMatrix
@@ -313,7 +318,7 @@ def test_window_transforms_match_the_dense_reduction():
 def test_verify_rejects_non_unimodular_u_with_any_inverse(claimed):
     # det diag(2, 1) = 2: row 0 of U * X is even, so U * X = I is impossible
     u = IntMatrix.from_rows([[2, 0], [0, 1]])
-    forged = replace(GENUINE, u=u, u_inv=IntMatrix.from_rows([claimed[:2], claimed[2:]]))
+    forged = forge(GENUINE, u=u, u_inv=IntMatrix.from_rows([claimed[:2], claimed[2:]]))
     with pytest.raises(AssertionError, match="U is not unimodular"):
         forged.verify()
 
@@ -321,14 +326,14 @@ def test_verify_rejects_non_unimodular_u_with_any_inverse(claimed):
 @pytest.mark.parametrize("field", ["u_inv", "v_inv"])
 @pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (1, 0), (1, 1)])
 def test_verify_rejects_an_inverse_off_by_one_entry(field, i, j):
-    forged = replace(GENUINE, **{field: _bumped(getattr(GENUINE, field), i, j)})
+    forged = forge(GENUINE, **{field: _bumped(getattr(GENUINE, field), i, j)})
     with pytest.raises(AssertionError, match="not unimodular"):
         forged.verify()
 
 
 def test_verify_rejects_a_wrong_entry_of_d():
     # (2, 8) keeps D non-negative and divisible; only U * A * V fails
-    forged = replace(GENUINE, diagonal=(2, 8))
+    forged = forge(GENUINE, diagonal=(2, 8))
     with pytest.raises(AssertionError, match="U \\* A != D \\* V\\^-1"):
         forged.verify()
 
@@ -344,23 +349,23 @@ def test_verify_rejects_a_wrong_entry_of_d():
 ])
 def test_verify_rejects_a_malformed_diagonal(diagonal, message):
     with pytest.raises(AssertionError, match=message):
-        replace(GENUINE, diagonal=diagonal).verify()
+        forge(GENUINE, diagonal=diagonal).verify()
 
 
 def test_verify_rejects_a_v_inverse_that_does_not_match_v():
     with pytest.raises(AssertionError, match="V is not unimodular"):
-        replace(GENUINE, v_inv=identity(2)).verify()
+        forge(GENUINE, v_inv=identity(2)).verify()
     # a consistent pair that does not diagonalize A: only U * A = D * V^-1 fails
     w = IntMatrix.from_rows([[1, 1], [0, 1]])
     w_inv = IntMatrix.from_rows([[1, -1], [0, 1]])
     with pytest.raises(AssertionError, match="U \\* A != D \\* V\\^-1"):
-        replace(GENUINE, v=w, v_inv=w_inv).verify()
+        forge(GENUINE, v=w, v_inv=w_inv).verify()
 
 
 def test_verify_rejects_transforms_of_the_wrong_shape():
     for field in ("u", "u_inv", "v", "v_inv"):
         with pytest.raises(AssertionError, match="wrong shape"):
-            replace(GENUINE, **{field: identity(3)}).verify()
+            forge(GENUINE, **{field: identity(3)}).verify()
 
 
 @given(small_matrix(), st.sampled_from(["matrix", "u", "diagonal", "v", "u_inv", "v_inv"]),
@@ -372,12 +377,12 @@ def test_verify_rejects_any_single_entry_change(a, field, at, delta):
         diagonal = list(res.diagonal)
         assume(diagonal)
         diagonal[at % len(diagonal)] += delta
-        forged = replace(res, diagonal=tuple(diagonal))
+        forged = forge(res, diagonal=tuple(diagonal))
     else:
         m = getattr(res, field)
         assume(m.rows and m.cols)
         i, j = divmod(at % (m.rows * m.cols), m.cols)
-        forged = replace(res, **{field: _bumped(m, i, j, delta)})
+        forged = forge(res, **{field: _bumped(m, i, j, delta)})
     with pytest.raises(AssertionError):
         forged.verify()
 

@@ -1,7 +1,6 @@
 """Tests for the Grothendieck group presentation and the rank-one theorem."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +25,7 @@ from infgon import (
     verify_theorem,
 )
 from infgon import angulation, k0
+from oracles import forge
 
 
 def canon(n, m):
@@ -390,11 +390,11 @@ def test_theorem_holds(n, m):
 # forged presentations for n = 2, m = 4, whose arcs are
 # (1, 4), (-1, 4), (-1, 6), (-3, 6) with true classes 1, 2, 3, 4
 FORGERIES = [
-    (lambda pres: replace(pres, free_rank=2), "free rank is 2, expected 1"),
-    (lambda pres: replace(pres, invariant_factors=(2,)), "unexpected torsion [2]"),
-    (lambda pres: replace(pres, classes=((-1,),) + pres.classes[1:]),
+    (lambda pres: forge(pres, free_rank=2), "free rank is 2, expected 1"),
+    (lambda pres: forge(pres, invariant_factors=(2,)), "unexpected torsion [2]"),
+    (lambda pres: forge(pres, classes=((-1,),) + pres.classes[1:]),
      "generator 1 = (1, 4) has class -1, expected 1"),
-    (lambda pres: replace(pres, classes=pres.classes[:2] + ((7,),) + pres.classes[3:]),
+    (lambda pres: forge(pres, classes=pres.classes[:2] + ((7,),) + pres.classes[3:]),
      "generator 3 = (-1, 6) has class 7, expected 3"),
 ]
 
@@ -426,7 +426,7 @@ def test_theorem_rejects_tiny_m():
 def test_theorem_report_carries_its_arcs_outside_equality():
     report = verify_theorem(CategoryParams(3), 4)
     assert report.arcs == canonical_family(CategoryParams(3), 4).arcs
-    assert report == replace(report, arcs=())
+    assert report == forge(report, arcs=())
     assert "arcs" not in repr(report)
 
 

@@ -1,4 +1,4 @@
-"""The immutable value classes outside k0: construction, equality, hash, repr,
+"""The package's immutable value classes: construction, equality, hash, repr,
 ordering, immutability, copy and pickle.
 
 Expected reprs and messages are the texts these classes printed when they
@@ -15,14 +15,35 @@ from infgon import (
     ArcFamily,
     ArTriangle,
     CategoryParams,
+    Cokernel,
+    IntMatrix,
+    K0Basis,
+    K0Presentation,
     QuiverWindow,
+    RelationVector,
     RenderOptions,
+    SnfResult,
+    TheoremReport,
     Window,
 )
 
-P1, P3 = CategoryParams(1), CategoryParams(3)
+P1, P2, P3 = CategoryParams(1), CategoryParams(2), CategoryParams(3)
 NODES = (Arc(0, 2), Arc(0, 3), Arc(1, 3))
 ARROWS = ((Arc(0, 2), Arc(0, 3)), (Arc(0, 3), Arc(1, 3)))
+ONE = IntMatrix(1, 1, (((0, 1),),))
+ONE_TEXT = "IntMatrix(rows=1, cols=1, terms=(((0, 1),),))"
+FAMILY = ArcFamily(P3, [Arc(1, 5), Arc(-2, 5)])
+FAMILY_TEXT = "ArcFamily(params=CategoryParams(n=3), arcs=(Arc(t=1, u=5), Arc(t=-2, u=5)))"
+RELATION = RelationVector(2, ((0, 1), (1, -2)))
+REPORT_FIELDS = ("params", "truncation", "free_rank", "invariant_factors", "classes",
+                 "relations_used", "passed", "first_violation")
+
+
+def report(arcs=(Arc(1, 4), Arc(-1, 4))):
+    return TheoremReport(params=P2, truncation=2, free_rank=1, invariant_factors=(),
+                         classes=((1,), (2,)), relations_used=1, passed=True,
+                         first_violation=None, arcs=arcs)
+
 
 # (build by keyword, its repr, its compared fields in order)
 VALUES = [
@@ -46,6 +67,33 @@ VALUES = [
      "Arc(t=0, u=3), Arc(t=1, u=3)), arrows=((Arc(t=0, u=2), Arc(t=0, u=3)), "
      "(Arc(t=0, u=3), Arc(t=1, u=3))))",
      ("params", "component", "nodes", "arrows")),
+    (lambda: IntMatrix(rows=2, cols=3, terms=(((0, 2),), ((1, -1), (2, 4)))),
+     "IntMatrix(rows=2, cols=3, terms=(((0, 2),), ((1, -1), (2, 4))))",
+     ("rows", "cols", "terms")),
+    (lambda: SnfResult(matrix=IntMatrix(1, 1, (((0, 2),),)), u=ONE, diagonal=(2,), v=ONE,
+                       u_inv=ONE, v_inv=ONE),
+     f"SnfResult(matrix=IntMatrix(rows=1, cols=1, terms=(((0, 2),),)), u={ONE_TEXT}, "
+     f"diagonal=(2,), v={ONE_TEXT}, u_inv={ONE_TEXT}, v_inv={ONE_TEXT})",
+     ("matrix", "u", "diagonal", "v", "u_inv", "v_inv")),
+    (lambda: Cokernel(generators=3, invariant_factors=(2,), free_rank=1,
+                      classes=((1, 0), (0, 1), (1, 1))),
+     "Cokernel(generators=3, invariant_factors=(2,), free_rank=1, "
+     "classes=((1, 0), (0, 1), (1, 1)))",
+     ("generators", "invariant_factors", "free_rank", "classes")),
+    (lambda: K0Basis(family=FAMILY), f"K0Basis(family={FAMILY_TEXT})", ("family",)),
+    (lambda: RelationVector(generators=2, terms=((0, 1), (1, -2))),
+     "RelationVector(generators=2, terms=((0, 1), (1, -2)))", ("generators", "terms")),
+    (lambda: K0Presentation(basis=K0Basis(FAMILY), relations=(RELATION,), invariant_factors=(),
+                            free_rank=1, classes=((2,), (1,))),
+     f"K0Presentation(basis=K0Basis(family={FAMILY_TEXT}), relations=(RelationVector("
+     "generators=2, terms=((0, 1), (1, -2))),), invariant_factors=(), free_rank=1, "
+     "classes=((2,), (1,)))",
+     ("basis", "relations", "invariant_factors", "free_rank", "classes")),
+    (report,
+     "TheoremReport(params=CategoryParams(n=2), truncation=2, free_rank=1, "
+     "invariant_factors=(), classes=((1,), (2,)), relations_used=1, passed=True, "
+     "first_violation=None)",
+     REPORT_FIELDS),
 ]
 IDS = [text.split("(", 1)[0] for _, text, _ in VALUES]
 
@@ -63,7 +111,7 @@ def test_repr_equality_and_hash_are_over_the_fields(build, text, fields):
 @pytest.mark.parametrize("build, text, fields", VALUES, ids=IDS)
 def test_fields_can_be_neither_set_nor_deleted(build, text, fields):
     x = build()
-    for name in (*fields, "index", "arrow_index", "not_a_field"):
+    for name in (*fields, "index", "arrow_index", "arcs", "not_a_field"):
         with pytest.raises(AttributeError):
             setattr(x, name, 0)
         with pytest.raises(AttributeError):
@@ -85,6 +133,15 @@ def test_derived_fields_survive_copy_and_are_not_compared():
     qw = QuiverWindow(P1, 0, NODES, ARROWS)
     assert copy.deepcopy(qw).arrow_index == qw.arrow_index == ((0, 1), (1, 2))
     assert "index" not in repr(f) and "arrow_index" not in repr(qw)
+
+
+def test_theorem_report_arcs_are_kept_by_copy_but_not_compared():
+    x = report()
+    assert x == report(arcs=()) and hash(x) == hash(report(arcs=()))
+    assert "arcs" not in repr(x)
+    for y in (copy.copy(x), copy.deepcopy(x),
+              *(pickle.loads(pickle.dumps(x, protocol)) for protocol in range(6))):
+        assert y.arcs == (Arc(1, 4), Arc(-1, 4))
 
 
 def test_classes_do_not_compare_equal_across_types():
@@ -140,6 +197,13 @@ class Exact(int):
     (lambda: ArcFamily(P3, [Arc(1, 5), Arc(1, 5), Arc(1, 4)]), "duplicate arc (1, 5) in family"),
     (lambda: QuiverWindow(P1, 0, (Arc(0, 2),), ((Arc(0, 2), Arc(0, 3)),)),
      "arrow (0, 2) -> (0, 3): an end is not a node"),
+    (lambda: IntMatrix(-1, 2.0, ((0,),)), "matrix dimensions must be non-negative"),
+    (lambda: IntMatrix(2, 2, (((0, 1.0),),)), "expected 2 rows, got 1"),
+    (lambda: IntMatrix(1, 2, (((1, 1.0), (0, 0)),)),
+     "matrix entries must be exact integers, got 1.0"),
+    (lambda: IntMatrix(1, 2, (((1, 1), (0, 0)),)), "columns must ascend in [0, 2), got (1, 0)"),
+    (lambda: IntMatrix(1, 2, (((0, 1), (2, 1)),)), "columns must ascend in [0, 2), got (0, 2)"),
+    (lambda: IntMatrix(2, 2, (((0, 1),), ((1, 0),))), "matrix terms must not store a zero"),
 ])
 def test_construction_checks_in_the_same_order_with_the_same_words(build, error):
     with pytest.raises(ValueError) as raised:
