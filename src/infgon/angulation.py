@@ -62,8 +62,7 @@ class ArcFamily(FrozenValue):
             require_admissible(params, a)
             if index.setdefault(a, i) != i:
                 raise ValueError(f"duplicate arc {arc_text(a)} in family")
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "arcs", arcs)
+        super().__init__(params, arcs)
         object.__setattr__(self, "index", index)
 
     def __len__(self) -> int:

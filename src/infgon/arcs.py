@@ -11,10 +11,11 @@ All arithmetic is exact: endpoints are plain Python integers and no
 operation ever rounds or truncates.
 
 Every value class of the package, here and in the other modules, is a
-frozen class written by hand on `FrozenValue`, not a dataclass: importing
-`dataclasses` (with `inspect`) and generating the classes took 8-10 ms of a
-70 ms `arcs enumerate` process and 11 ms of a 77 ms `k0 verify` one
-(Python 3.11, 2-CPU x86-64 host).
+frozen class on `FrozenValue`, not a dataclass: importing `dataclasses`
+(with `inspect`) and generating the classes took 8-10 ms of a 70 ms
+`arcs enumerate` process and 11 ms of a 77 ms `k0 verify` one (Python 3.11,
+2-CPU x86-64 host).  `FrozenValue` owns the one constructor that sets the
+fields; a subclass that checks its arguments does so and then calls it.
 """
 
 from __future__ import annotations
@@ -45,17 +46,17 @@ _setattr = object.__setattr__  # looked up once: arcs are built in the hottest l
 
 
 class FrozenValue:
-    """Base of the frozen value classes: equality, hash and repr over `_fields`.
+    """Base of the frozen value classes: construction, equality, hash and repr over `_fields`.
 
     A subclass names its fields in `_fields`, in constructor order, and
     keeps them in `__slots__`, with any derived slot that is neither
-    compared nor shown (`ArcFamily.index`).  Its __init__ checks the
-    arguments and sets each slot once with `object.__setattr__`; assigning
-    or deleting an attribute afterwards raises AttributeError.  Equality
-    holds only between instances of the same class, and hash, repr, copy
-    and pickle go through the fields, as for a frozen dataclass.  A class
-    whose constructor also takes a slot that is not a field
-    (`TheoremReport.arcs`) passes it on in its own `__reduce__`.
+    compared nor shown (`ArcFamily.index`).  The one constructor binds the
+    fields by position and by keyword and sets each slot once; a subclass
+    that checks its arguments does so first and then calls it.  Only a
+    derived slot, and `Arc`, the hottest constructor, set a slot directly.
+    Assigning or deleting an attribute afterwards raises AttributeError.
+    Equality holds only between instances of the same class, and hash,
+    repr, copy and pickle go through the fields, as for a frozen dataclass.
     """
 
     __slots__ = ()
@@ -67,6 +68,15 @@ class FrozenValue:
         get = attrgetter(*cls._fields)
         # attrgetter gives the bare value for one name and a tuple for several
         cls._values = property(get if len(cls._fields) > 1 else lambda self: (get(self),))
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs)
+        # a missing, extra, doubled or unknown argument fails one of these two tests
+        if len(args) + len(kwargs) != len(fields) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__qualname__} takes the fields {', '.join(fields)}")
+        for name in fields:
+            _setattr(self, name, values[name])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -101,7 +111,7 @@ class CategoryParams(FrozenValue):
         _require_int(n, "parameter n")
         if n < 1:
             raise ValueError(f"parameter n must be >= 1, got {short_repr(n)}")
-        _setattr(self, "n", n)
+        super().__init__(n)
 
 
 class Arc(FrozenValue):
@@ -117,18 +127,15 @@ class Arc(FrozenValue):
     u: int
 
     def __init__(self, t: int, u: int) -> None:
+        if not (type(t) is int and type(u) is int and t < u):  # the common case skips the checks
+            _require_int(t, "arc endpoint t")
+            _require_int(u, "arc endpoint u")
+            if t >= u:
+                raise ValueError(
+                    f"arc ({short_repr(t)}, {short_repr(u)}): endpoints must satisfy t < u"
+                )
         _setattr(self, "t", t)
         _setattr(self, "u", u)
-        self.__post_init__()  # one hook that sees every arc built, as in a dataclass
-
-    def __post_init__(self) -> None:
-        t, u = self.t, self.u
-        if type(t) is int and type(u) is int and t < u:
-            return  # the common case; the checks below word each defect
-        _require_int(t, "arc endpoint t")
-        _require_int(u, "arc endpoint u")
-        if t >= u:
-            raise ValueError(f"arc {arc_text(self)}: endpoints must satisfy t < u")
 
     # `a > b` and `a >= b` are the reflections `b < a` and `b <= a`
     def __lt__(self, other: object) -> bool:
@@ -169,8 +176,7 @@ class Window(FrozenValue):
             raise ValueError(
                 f"window [{short_repr(lo)}, {short_repr(hi)}]: bounds must satisfy lo < hi"
             )
-        _setattr(self, "lo", lo)
-        _setattr(self, "hi", hi)
+        super().__init__(lo, hi)
 
     @property
     def span(self) -> int:

@@ -16,7 +16,7 @@ wraps --help text to COLUMNS.
 A process is one short command, so it pays only for what that command runs.
 At module level only `arcs` and `render` are imported.  A handler imports
 `angulation`, `quiver` or `k0` when it runs and calls through the module.
-No module imports `dataclasses`: the value classes are written by hand
+No module imports `dataclasses`: the value classes are `FrozenValue` classes
 (see `arcs`), since that import with `inspect` took more than a tenth of a
 short command's time.  The parser adds the commands of a group only when
 argparse reads that group (`_GroupParser`).

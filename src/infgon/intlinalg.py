@@ -84,9 +84,7 @@ class IntMatrix(FrozenValue):
                 raise ValueError(f"columns must ascend in [0, {cols}), got {short_repr(js)}")
             if 0 in xs:
                 raise ValueError("matrix terms must not store a zero")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "terms", terms)
+        super().__init__(rows, cols, terms)
 
     @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
@@ -157,17 +155,6 @@ class SnfResult(FrozenValue):
     v: IntMatrix
     u_inv: IntMatrix
     v_inv: IntMatrix
-
-    def __init__(
-        self, matrix: IntMatrix, u: IntMatrix, diagonal: tuple[int, ...], v: IntMatrix,
-        u_inv: IntMatrix, v_inv: IntMatrix,
-    ) -> None:
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "diagonal", diagonal)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "u_inv", u_inv)
-        object.__setattr__(self, "v_inv", v_inv)
 
     @property
     def rank(self) -> int:
@@ -409,15 +396,6 @@ class Cokernel(FrozenValue):
     invariant_factors: tuple[int, ...]
     free_rank: int
     classes: tuple[tuple[int, ...], ...]
-
-    def __init__(
-        self, generators: int, invariant_factors: tuple[int, ...], free_rank: int,
-        classes: tuple[tuple[int, ...], ...],
-    ) -> None:
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "invariant_factors", invariant_factors)
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "classes", classes)
 
     def project(self, vector: list[int] | tuple[int, ...]) -> tuple[int, ...]:
         if len(vector) != self.generators:

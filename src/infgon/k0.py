@@ -33,9 +33,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from .angulation import MAX_CANONICAL_MEMBERS, ArcFamily, canonical_family, require_noncrossing
-from .arcs import Arc, CategoryParams, FrozenValue, short_repr
+from .arcs import Arc, CategoryParams, FrozenValue, short_repr, tau
 from .intlinalg import IntMatrix, cokernel_from, dense_row, smith_normal_form
-from .quiver import ar_triangle, arrows_from
+from .quiver import arrows_from
 
 
 class K0Basis(FrozenValue):
@@ -43,9 +43,6 @@ class K0Basis(FrozenValue):
 
     __slots__ = _fields = ("family",)
     family: ArcFamily
-
-    def __init__(self, family: ArcFamily) -> None:
-        object.__setattr__(self, "family", family)
 
     @property
     def size(self) -> int:
@@ -64,10 +61,6 @@ class RelationVector(FrozenValue):
     __slots__ = _fields = ("generators", "terms")
     generators: int
     terms: tuple[tuple[int, int], ...]
-
-    def __init__(self, generators: int, terms: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "terms", terms)
 
     @property
     def coefficients(self) -> tuple[int, ...]:
@@ -111,8 +104,10 @@ def ar_relations(params: CategoryParams, basis: K0Basis) -> list[RelationVector]
     _require_params(params, basis.family)
     index = basis.family.index
     diag = 1 + (-1) ** params.n  # 0 for odd n, 2 for even n
-    shapes = (  # (middle of the triangle at the anchor arc, sign of its entries)
-        (lambda end: ar_triangle(params, end).middle, (-1) ** (params.n + 1)),
+    # (middle of the triangle at the anchor arc, sign of its entries); a middle
+    # is the arrow targets of its start, as in `quiver.ar_triangle`
+    shapes = (
+        (lambda end: arrows_from(params, tau(params, end)), (-1) ** (params.n + 1)),
         (lambda start: arrows_from(params, start), -1),
     )
     out: dict[tuple[tuple[int, int], ...], RelationVector] = {}  # first of each, in order
@@ -139,16 +134,6 @@ class K0Presentation(FrozenValue):
     invariant_factors: tuple[int, ...]
     free_rank: int
     classes: tuple[tuple[int, ...], ...]
-
-    def __init__(
-        self, basis: K0Basis, relations: tuple[RelationVector, ...],
-        invariant_factors: tuple[int, ...], free_rank: int, classes: tuple[tuple[int, ...], ...],
-    ) -> None:
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "invariant_factors", invariant_factors)
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "classes", classes)
 
     def to_json_dict(self) -> dict:
         family = self.basis.family
@@ -279,17 +264,12 @@ def expected_canonical_class(params: CategoryParams, i: int) -> int:
 
 
 class TheoremReport(FrozenValue):
-    """Outcome of checking one canonical truncation against the known answer.
+    """Outcome of checking one canonical truncation against the known answer."""
 
-    `arcs`, the truncation's members, is neither compared nor shown, but
-    copy and pickle keep it.
-    """
-
-    _fields = (
+    __slots__ = _fields = (
         "params", "truncation", "free_rank", "invariant_factors", "classes", "relations_used",
         "passed", "first_violation",
     )
-    __slots__ = (*_fields, "arcs")
     params: CategoryParams
     truncation: int
     free_rank: int
@@ -298,34 +278,16 @@ class TheoremReport(FrozenValue):
     relations_used: int
     passed: bool
     first_violation: str | None
-    arcs: tuple[Arc, ...]
-
-    def __init__(
-        self, params: CategoryParams, truncation: int, free_rank: int,
-        invariant_factors: tuple[int, ...], classes: tuple[tuple[int, ...], ...],
-        relations_used: int, passed: bool, first_violation: str | None, arcs: tuple[Arc, ...],
-    ) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "free_rank", free_rank)
-        object.__setattr__(self, "invariant_factors", invariant_factors)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "relations_used", relations_used)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "first_violation", first_violation)
-        object.__setattr__(self, "arcs", arcs)
-
-    def __reduce__(self) -> tuple:
-        return type(self), (*self._values, self.arcs)
 
     def to_json_dict(self) -> dict:
+        arcs = canonical_family(self.params, self.truncation).arcs
         return {
             "n": self.params.n,
             "m": self.truncation,
             "passed": self.passed,
             "free_rank": self.free_rank,
             "invariant_factors": list(self.invariant_factors),
-            "classes": _classes_json(self.arcs, self.classes),
+            "classes": _classes_json(arcs, self.classes),
             "relations_used": self.relations_used,
             "first_violation": self.first_violation,
         }
@@ -370,5 +332,4 @@ def verify_theorem(params: CategoryParams, m: int) -> TheoremReport:
         relations_used=len(pres.relations),
         passed=violation is None,
         first_violation=violation,
-        arcs=family.arcs,
     )

@@ -54,11 +54,6 @@ class ArTriangle(FrozenValue):
     middle: tuple[Arc, ...]
     end: Arc
 
-    def __init__(self, start: Arc, middle: tuple[Arc, ...], end: Arc) -> None:
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "middle", middle)
-        object.__setattr__(self, "end", end)
-
 
 def ar_triangle(params: CategoryParams, end: Arc) -> ArTriangle:
     """The almost-split triangle ending at the given arc.
@@ -112,10 +107,7 @@ class QuiverWindow(FrozenValue):
             if i is None or j is None:
                 raise ValueError(f"arrow {arc_text(s)} -> {arc_text(t)}: an end is not a node")
             pairs.append((i, j))
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "arrows", arrows)
+        super().__init__(params, component, nodes, arrows)
         object.__setattr__(self, "arrow_index", tuple(pairs))
 
     def to_json_dict(self) -> dict:

@@ -58,10 +58,7 @@ class RenderOptions(FrozenValue):
             raise ValueError("canvas dimensions must be positive")
         if 2 * _MARGIN >= width or 2 * _MARGIN >= height:
             raise ValueError("margin leaves no drawing area")
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "highlight", tuple(highlight))
+        super().__init__(width, height, labels, tuple(highlight))
 
 
 def _svg_open(opts: RenderOptions) -> list[str]:

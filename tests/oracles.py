@@ -14,10 +14,9 @@ from infgon import Arc, CategoryParams, IntMatrix, Window, is_admissible
 def forge(value, **changes):
     """A copy of the frozen `value` built through its constructor, with `changes`.
 
-    Every field named in `_fields` is passed on unless `changes` replaces
-    it; a constructor argument that is not a field (`TheoremReport.arcs`)
-    must be given in `changes`.  The constructor's own checks run, as they
-    would for any caller.
+    Every constructor argument is a field, so each field named in `_fields`
+    is passed on by keyword unless `changes` replaces it.  The constructor's
+    own checks run, as they would for any caller.
     """
     return type(value)(**{f: getattr(value, f) for f in value._fields} | changes)
 

@@ -18,6 +18,7 @@ from infgon import (
     RelationVector,
     RenderOptions,
     SnfResult,
+    TheoremReport,
     Window,
     angulation,
     arcs,
@@ -60,6 +61,8 @@ def test_removed_names_are_gone():
     # the arrow check keeps its node index to itself
     assert not hasattr(quiver_window(CategoryParams(1), 0, Window(0, 2), 1), "index")
     assert not hasattr(Window, "contains_point")
+    # a report's JSON reads its arcs from `canonical_family`; it keeps no copy
+    assert not hasattr(TheoremReport, "arcs")
 
 
 def test_readme_library_example():

@@ -25,6 +25,8 @@ from infgon import (
     SnfResult,
     TheoremReport,
     Window,
+    canonical_family,
+    verify_theorem,
 )
 
 P1, P2, P3 = CategoryParams(1), CategoryParams(2), CategoryParams(3)
@@ -39,10 +41,10 @@ REPORT_FIELDS = ("params", "truncation", "free_rank", "invariant_factors", "clas
                  "relations_used", "passed", "first_violation")
 
 
-def report(arcs=(Arc(1, 4), Arc(-1, 4))):
+def report():
     return TheoremReport(params=P2, truncation=2, free_rank=1, invariant_factors=(),
                          classes=((1,), (2,)), relations_used=1, passed=True,
-                         first_violation=None, arcs=arcs)
+                         first_violation=None)
 
 
 # (build by keyword, its repr, its compared fields in order)
@@ -135,13 +137,43 @@ def test_derived_fields_survive_copy_and_are_not_compared():
     assert "index" not in repr(f) and "arrow_index" not in repr(qw)
 
 
-def test_theorem_report_arcs_are_kept_by_copy_but_not_compared():
-    x = report()
-    assert x == report(arcs=()) and hash(x) == hash(report(arcs=()))
-    assert "arcs" not in repr(x)
-    for y in (copy.copy(x), copy.deepcopy(x),
-              *(pickle.loads(pickle.dumps(x, protocol)) for protocol in range(6))):
-        assert y.arcs == (Arc(1, 4), Arc(-1, 4))
+@pytest.mark.parametrize("n", range(1, 5))
+def test_theorem_report_json_survives_copy_and_keys_the_canonical_arcs(n):
+    p = CategoryParams(n)
+    for m in range(2, 7):
+        x = verify_theorem(p, m)
+        want = x.to_json_dict()
+        assert list(want["classes"]) == [f"[{a.t},{a.u}]" for a in canonical_family(p, m)]
+        for y in (copy.copy(x), copy.deepcopy(x),
+                  *(pickle.loads(pickle.dumps(x, protocol))
+                    for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+            assert y.to_json_dict() == want
+
+
+# (class, its field values in order): one class that only stores, one that checks
+BINDINGS = [
+    (K0Presentation, (K0Basis(FAMILY), (RELATION,), (), 1, ((2,), (1,)))),
+    (Window, (0, 3)),
+]
+
+
+@pytest.mark.parametrize("cls, args", BINDINGS, ids=["K0Presentation", "Window"])
+def test_constructor_binds_by_position_and_by_keyword(cls, args):
+    by_keyword = cls(**dict(zip(cls._fields, args)))
+    for k in range(len(args) + 1):
+        assert cls(*args[:k], **dict(zip(cls._fields[k:], args[k:]))) == by_keyword
+
+
+@pytest.mark.parametrize("cls, args", BINDINGS, ids=["K0Presentation", "Window"])
+@pytest.mark.parametrize("call", [
+    lambda cls, args: cls(*args[:-1]),
+    lambda cls, args: cls(*args, args[-1]),
+    lambda cls, args: cls(*args[:-1], **{cls._fields[0]: args[0]}),
+    lambda cls, args: cls(*args[:-1], not_a_field=args[-1]),
+], ids=["missing", "extra", "doubled", "unknown"])
+def test_a_wrong_call_raises_type_error(cls, args, call):
+    with pytest.raises(TypeError):
+        call(cls, args)
 
 
 def test_classes_do_not_compare_equal_across_types():
