@@ -11,7 +11,6 @@ for inspection, rendering, and tests.
 
 from __future__ import annotations
 
-from .angulation import ArcFamily
 from .arcs import (
     Arc,
     CategoryParams,
@@ -70,19 +69,31 @@ MAX_QUIVER_NODES = 200_000
 """The most (t, u) pairs `quiver_window` may scan: t values times depth.
 
 The count (t-span // n + 1) * depth is known in closed form, so a larger
-window raises ValueError before any node is built.  A drawn node costs
-about 300 bytes of SVG, so the limit keeps `render quiver` near 60 MB; it
-is ten times the 20 000-node ceiling of the benchmark's quiver jobs.
+window raises ValueError before any node is built.  At the limit (n = 1,
+depth 20) `render quiver` writes 61.6 MB of SVG, about 300 bytes a node,
+with 331 MB peak RSS, and `quiver window` 21.9 MB of JSON with 305 MB
+(Python 3.11, 2-CPU x86-64 host).  It is ten times the 20 000-node ceiling
+of the benchmark's quiver jobs.
 """
+
+
+def _require_component(params: CategoryParams, component: object) -> None:
+    n = params.n
+    if not 0 <= _require_int(component, "component") < n:
+        raise ValueError(
+            f"component {short_repr(component)} out of range for n = {short_repr(n)} "
+            f"(expected 0..{short_repr(n - 1)})"
+        )
 
 
 class QuiverWindow(FrozenValue):
     """A finite rectangle of one quiver component, with the arrows inside it.
 
-    Construction checks the nodes as `ArcFamily` does (admissible, distinct)
-    and that both ends of every arrow are nodes, raising ValueError that names
-    the first bad node or arrow.  `arrow_index` holds the positions of each
-    arrow's ends, found by that check (not compared, not shown).
+    Construction checks on (t, u) pairs that the nodes are admissible, distinct
+    and in the component, one of the n, and that every arrow is an irreducible
+    map between two nodes, raising ValueError that names the first bad one.
+    `arrow_index` holds the positions of each arrow's ends, found by that
+    check (not compared, not shown).
     """
 
     _fields = ("params", "component", "nodes", "arrows")
@@ -100,12 +111,24 @@ class QuiverWindow(FrozenValue):
         nodes: tuple[Arc, ...],
         arrows: tuple[tuple[Arc, Arc], ...],
     ) -> None:
-        index = ArcFamily(params, nodes).index
+        n = params.n
+        _require_component(params, component)
+        index: dict[tuple[int, int], int] = {}  # keyed by (t, u): no Arc is hashed
+        for i, a in enumerate(nodes):
+            t, u = a.t, a.u
+            if u - t < 2 or (u - t - 1) % n or t % n != component:
+                require_admissible(params, a)  # words the defect of an inadmissible node
+                raise ValueError(f"node {arc_text(a)} is not in component {component}")
+            if index.setdefault((t, u), i) != i:
+                raise ValueError(f"duplicate arc {arc_text(a)} in family")
         pairs = []
-        for s, t in arrows:
-            i, j = index.get(s), index.get(t)
+        for s, e in arrows:
+            t, u, et, eu = s.t, s.u, e.t, e.u
+            i, j = index.get((t, u)), index.get((et, eu))
             if i is None or j is None:
-                raise ValueError(f"arrow {arc_text(s)} -> {arc_text(t)}: an end is not a node")
+                raise ValueError(f"arrow {arc_text(s)} -> {arc_text(e)}: an end is not a node")
+            if et + eu != t + u + n or et != t and eu != u:  # not (t, u + n) nor (t + n, u)
+                raise ValueError(f"arrow {arc_text(s)} -> {arc_text(e)} is not an irreducible map")
             pairs.append((i, j))
         super().__init__(params, component, nodes, arrows)
         object.__setattr__(self, "arrow_index", tuple(pairs))
@@ -134,11 +157,7 @@ def quiver_window(
     A window scanning more than MAX_QUIVER_NODES pairs raises ValueError.
     """
     n = params.n
-    if not 0 <= _require_int(component, "component") < n:
-        raise ValueError(
-            f"component {short_repr(component)} out of range for n = {short_repr(n)} "
-            f"(expected 0..{short_repr(n - 1)})"
-        )
+    _require_component(params, component)
     if _require_int(depth, "depth") < 1:
         raise ValueError(f"depth must be an integer >= 1, got {short_repr(depth)}")
     if (t_range.span // n + 1) * depth > MAX_QUIVER_NODES:
@@ -153,7 +172,7 @@ def quiver_window(
         for u in range(t + n + 1, t + depth * n + 2, n):  # rows 1..depth
             if columns is None or columns.lo <= t + u <= columns.hi:
                 nodes[t, u] = Arc(t, u)
-    arrows = [
-        (a, nodes[b]) for (t, u), a in nodes.items() for b in _arrow_targets(n, t, u) if b in nodes
-    ]
+    # the targets of `_arrow_targets` in its order: one that is not admissible is no node
+    arrows = [(a, b) for (t, u), a in nodes.items()
+              for b in (nodes.get((t, u + n)), nodes.get((t + n, u))) if b is not None]
     return QuiverWindow(params, component, tuple(nodes.values()), tuple(arrows))

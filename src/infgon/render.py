@@ -13,7 +13,7 @@ Highlighted members additionally carry the "highlight" class.
 
 from __future__ import annotations
 
-from .arcs import Arc, FrozenValue, Window, require_inside, short_repr
+from .arcs import Arc, FrozenValue, Window, _require_int, require_inside, short_repr
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without the cost of importing typing
 if TYPE_CHECKING:
@@ -54,10 +54,14 @@ class RenderOptions(FrozenValue):
         self, width: int = 900, height: int = 360, labels: bool = True,
         highlight: tuple[Arc, ...] = (),
     ) -> None:
+        _require_int(width, "width")
+        _require_int(height, "height")
         if width <= 0 or height <= 0:
             raise ValueError("canvas dimensions must be positive")
         if 2 * _MARGIN >= width or 2 * _MARGIN >= height:
             raise ValueError("margin leaves no drawing area")
+        if not isinstance(labels, bool):
+            raise ValueError(f"labels must be True or False, got {short_repr(labels)}")
         super().__init__(width, height, labels, tuple(highlight))
 
 
@@ -73,21 +77,33 @@ def _svg_open(opts: RenderOptions) -> list[str]:
     ]
 
 
+class _Text(dict):
+    """Coordinate -> its "%.2f" text, formatted once per distinct value.  All
+    coordinates are positive, so no -0.0 takes the key of 0.0 and its text."""
+
+    __slots__ = ()
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = f"{value:.2f}"
+        return text
+
+
 def _nodes_and_close(
     parts: list[str], opts: RenderOptions, kind: str, nodes: list, radius: float, label_dy: int
 ) -> str:
     """Append a circle per (x, y, highlighted, label) node, then with labels on
     a label per node, and close the SVG.  Classes: kind, highlight, kind-label."""
+    text, r, lit_kind = _Text(), f"{radius:.2f}", f"{kind} highlight"
     for x, y, lit, _ in nodes:
-        cls = f"{kind} highlight" if lit else kind
-        parts.append(f'<circle class="{cls}" cx="{x:.2f}" cy="{y:.2f}" r="{radius:.2f}"/>')
+        cls = lit_kind if lit else kind
+        parts.append(f'<circle class="{cls}" cx="{text[x]}" cy="{text[y]}" r="{r}"/>')
     if opts.labels:
         for x, y, _, label in nodes:
             parts.append(
-                f'<text class="{kind}-label" x="{x:.2f}" y="{y + label_dy:.2f}">{label}</text>'
+                f'<text class="{kind}-label" x="{text[x]}" y="{text[y + label_dy]}">{label}</text>'
             )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    return "\n".join(parts)
 
 
 def arc_diagram_svg(f: ArcFamily, w: Window, opts: RenderOptions = RenderOptions()) -> str:
@@ -143,9 +159,10 @@ def quiver_svg(qw: QuiverWindow, opts: RenderOptions = RenderOptions()) -> str:
     """
     if not qw.nodes:
         raise ValueError("cannot render an empty quiver window")
-    highlight = set(opts.highlight)
+    highlight = {(a.t, a.u) for a in opts.highlight}
+    n = qw.params.n
     xs = [a.t + a.u for a in qw.nodes]
-    rows = [(a.u - a.t - 1) // qw.params.n for a in qw.nodes]  # every node is checked
+    rows = [(a.u - a.t - 1) // n for a in qw.nodes]  # every node is checked
     x_lo, x_hi = min(xs), max(xs)
     r_lo, r_hi = min(rows), max(rows)
     sx = (opts.width - 2 * _MARGIN) / max(x_hi - x_lo, 1)
@@ -159,17 +176,19 @@ def quiver_svg(qw: QuiverWindow, opts: RenderOptions = RenderOptions()) -> str:
         '<path d="M 0 0 L 7 3 L 0 6 z" fill="#555"/></marker></defs>'
     )
     radius = 3.5
+    trim = radius + 2.0
+    text = _Text()
     for i, j in qw.arrow_index:
         x1, y1 = places[i]
         x2, y2 = places[j]
         dx, dy = x2 - x1, y2 - y1
         norm = (dx * dx + dy * dy) ** 0.5 or 1.0
-        trim = radius + 2.0
-        x1, y1 = x1 + dx / norm * trim, y1 + dy / norm * trim
-        x2, y2 = x2 - dx / norm * trim, y2 - dy / norm * trim
+        ox, oy = dx / norm * trim, dy / norm * trim  # each end moves trim along the arrow
         parts.append(
-            f'<line class="arrow" x1="{x1:.2f}" y1="{y1:.2f}" '
-            f'x2="{x2:.2f}" y2="{y2:.2f}" marker-end="url(#arrowhead)"/>'
+            f'<line class="arrow" x1="{text[x1 + ox]}" y1="{text[y1 + oy]}" '
+            f'x2="{text[x2 - ox]}" y2="{text[y2 - oy]}" marker-end="url(#arrowhead)"/>'
         )
-    nodes = [(x, y, a in highlight, f"({a.t},{a.u})") for a, (x, y) in zip(qw.nodes, places)]
+    nodes = [
+        (x, y, (a.t, a.u) in highlight, f"({a.t},{a.u})") for a, (x, y) in zip(qw.nodes, places)
+    ]
     return _nodes_and_close(parts, opts, "node", nodes, radius, -7)

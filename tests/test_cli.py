@@ -390,7 +390,7 @@ GROUP_COMMANDS = [
      {"angulation"}),
     (["family", "canonical", "-n", "3", "--m", "4"], {"angulation"}),
     (["quiver", "window", "-n", "1", "--component", "0", "--trange", "0", "2", "--depth", "2"],
-     {"angulation", "quiver"}),
+     {"quiver"}),
     (["render", "arcs", "-n", "3", "--canonical", "5", "--window", "-8", "12"], {"angulation"}),
     (["k0", "present", "-n", "2", "--canonical", "6"], K0_MODULES),
     (["k0", "verify", "-n", "3", "--m", "20"], K0_MODULES),

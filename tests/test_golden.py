@@ -10,6 +10,7 @@ argparse as shipped with Python 3.11, which CI pins.  A few cases also run
 as `python -m infgon.cli`, where `main()` reads its arguments from sys.argv.
 """
 
+import hashlib
 import os
 import shlex
 import subprocess
@@ -134,6 +135,32 @@ FIGURES = [
          RenderOptions(width=640, height=300, highlight=(Arc(1, 5), Arc(-2, 8))),
      )),
 ]
+
+# outputs too large for the corpus, pinned by the sha256 of their bytes.  The
+# quiver figure formats each distinct coordinate once and trims arrow ends in
+# float arithmetic, so a change to either shows here at thousands of nodes
+DIGESTS = [
+    (["render", "quiver", "-n", "1", "--component", "0", "--trange", "-500", "499",
+      "--depth", "20", "--highlight-canonical", "40"],
+     "92b1c264132a9c98844f07c4e67db3fb2a6ef1dabda3de3efb25523d059acfe7"),
+    (["render", "quiver", "-n", "2", "--component", "1", "--trange", "-301", "300",
+      "--depth", "30", "--columns", "-200", "500", "--no-labels", "--width", "1234",
+      "--height", "567", "--highlight-canonical", "30"],
+     "4462b7b0a373d2c06a0777be4898d5aff706ab2eb19e74b55b50f8bf94883412"),
+    (["render", "quiver", "-n", "3", "--component", "1", "--trange", "-900", "900",
+      "--depth", "17", "--highlight-canonical", "12", "--width", "901", "--height", "333"],
+     "9d3fdc1db53f5b0b4c08dd70925da87f05d5c88619a45b28579b4e228a7d7773"),
+    (["quiver", "window", "-n", "2", "--component", "0", "--trange", "-400", "400",
+      "--depth", "25"],
+     "2fa8821a76c961d09eac9a625625c7577e53428bf5f282a63db1e3aac7764fa8"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", DIGESTS, ids=[" ".join(argv[:4]) for argv, _ in DIGESTS])
+def test_large_output_matches_its_digest(argv, digest, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, "-o", "out"]) == 0
+    assert hashlib.sha256((tmp_path / "out").read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])

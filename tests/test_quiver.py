@@ -8,6 +8,7 @@ from infgon import (
     Arc,
     CategoryParams,
     QuiverWindow,
+    RenderOptions,
     Window,
     ar_triangle,
     arrows_from,
@@ -222,10 +223,12 @@ def test_quiver_window_keeps_the_arrow_ends_its_check_found(monkeypatch):
     real = Arc.__hash__
     monkeypatch.setattr(Arc, "__hash__", lambda a: hashed.append(a) or real(a))
     assert qw.to_json_dict()["arrows"] == [list(p) for p in qw.arrow_index]
+    # building, checking and drawing a window, highlight included, work on
+    # (t, u) pairs and hash no Arc
+    assert quiver_window(p3, 2, Window(-7, 8), 3) == qw
+    highlight = RenderOptions(highlight=qw.nodes[::2])
+    assert quiver_svg(qw, highlight).count("node highlight") == len(qw.nodes[::2])
     assert hashed == []
-    # the figure looks each node up once, in the highlight set, and no arrow end
-    quiver_svg(qw)
-    assert hashed == list(qw.nodes)
 
 
 def test_quiver_window_checks_its_nodes_and_arrows():
@@ -241,3 +244,34 @@ def test_quiver_window_checks_its_nodes_and_arrows():
     # both ends present: accepted
     ok = QuiverWindow(p1, 0, (Arc(0, 2), Arc(0, 3)), ((Arc(0, 2), Arc(0, 3)),))
     assert ok.to_json_dict()["arrows"] == [[0, 1]]
+
+
+@pytest.mark.parametrize("component, nodes, arrows, error", [
+    (3, (Arc(1, 5),), (), "component 3 out of range for n = 3 (expected 0..2)"),
+    (7, (Arc(1, 5),), (), "component 7 out of range for n = 3 (expected 0..2)"),
+    (-1, (), (), "component -1 out of range for n = 3 (expected 0..2)"),
+    (True, (), (), "component must be an exact integer, got True"),
+    (0, (Arc(1, 5),), (), "node (1, 5) is not in component 0"),
+    (1, (Arc(1, 5), Arc(1, 8), Arc(0, 4)), (), "node (0, 4) is not in component 1"),
+    # (1, 8) -> (1, 5) and (1, 5) -> (1, 8) join nodes, but only the latter is a map
+    (1, (Arc(1, 5), Arc(1, 8)), ((Arc(1, 8), Arc(1, 5)),),
+     "arrow (1, 8) -> (1, 5) is not an irreducible map"),
+    (1, (Arc(1, 5), Arc(1, 11)), ((Arc(1, 5), Arc(1, 11)),),
+     "arrow (1, 5) -> (1, 11) is not an irreducible map"),
+    (1, (Arc(-2, 5), Arc(1, 8)), ((Arc(-2, 5), Arc(1, 8)),),
+     "arrow (-2, 5) -> (1, 8) is not an irreducible map"),
+])
+def test_quiver_window_refuses_what_is_no_window_of_its_component(component, nodes, arrows, error):
+    with pytest.raises(ValueError) as raised:
+        QuiverWindow(CategoryParams(3), component, nodes, arrows)
+    assert str(raised.value) == error
+
+
+def test_quiver_window_accepts_both_irreducible_maps():
+    p3 = CategoryParams(3)
+    nodes = (Arc(-2, 5), Arc(-2, 8), Arc(1, 5))
+    arrows = ((Arc(-2, 5), Arc(-2, 8)), (Arc(-2, 5), Arc(1, 5)))
+    assert QuiverWindow(p3, 1, nodes, arrows).arrow_index == ((0, 1), (0, 2))
+    # (0, 4) -> (1, 5) is no irreducible map at n = 1: both ends move
+    with pytest.raises(ValueError, match=r"^arrow \(0, 4\) -> \(1, 5\) is not an irreducible map$"):
+        QuiverWindow(CategoryParams(1), 0, (Arc(0, 4), Arc(1, 5)), ((Arc(0, 4), Arc(1, 5)),))

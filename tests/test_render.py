@@ -170,3 +170,19 @@ def test_render_options_validation():
     with pytest.raises(ValueError, match="margin leaves no drawing area"):
         RenderOptions(width=60)
     assert RenderOptions(highlight=[Arc(1, 3)]).highlight == (Arc(1, 3),)
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"height": float("nan")}, "height must be an exact integer, got nan"),
+    ({"width": float("inf")}, "width must be an exact integer, got inf"),
+    ({"width": 900.5}, "width must be an exact integer, got 900.5"),
+    ({"width": True}, "width must be an exact integer, got True"),
+    ({"height": "360"}, "height must be an exact integer, got '360'"),
+    ({"labels": "no"}, "labels must be True or False, got 'no'"),
+    ({"labels": 0}, "labels must be True or False, got 0"),
+])
+def test_render_options_refuse_what_no_figure_can_show(kwargs, error):
+    # a float or a string once reached the SVG as width="inf" or height="nan"
+    with pytest.raises(ValueError) as raised:
+        RenderOptions(**kwargs)
+    assert str(raised.value) == error
