@@ -85,7 +85,7 @@ def parse_family(payload: object, params: CategoryParams | None = None) -> ArcFa
     object {"n": ..., "arcs": [...]}, or the symbolic form
     {"n": ..., "family": "canonical", "m": ...}.  A parameter mismatch
     between `params` and an embedded "n" is an error, never silently
-    resolved.
+    resolved, and so is an object with both "family" and "arcs".
     """
     if isinstance(payload, list):
         if params is None:
@@ -109,6 +109,8 @@ def parse_family(payload: object, params: CategoryParams | None = None) -> ArcFa
         n = embedded
     p = CategoryParams(n)
 
+    if "family" in payload and "arcs" in payload:
+        raise ValueError("give either a symbolic 'family' tag or an 'arcs' array, not both")
     if CANONICAL_TAG == payload.get("family"):
         m = payload.get("m")
         if isinstance(m, bool) or not isinstance(m, int):

@@ -139,14 +139,16 @@ def _report(
 ) -> int:
     """Write a command's report and return its exit code.
 
-    `--format json` writes `obj` with `indent=2`; an `obj` that is an
+    `--format json` streams `obj` with `indent=2`, as the chunks of
+    `iterencode`, so no copy of the whole text is held; an `obj` that is an
     iterator already holds that text, in chunks, and is streamed as it is.
     `--format text` writes `lines`, which are only formatted then; an item
     may hold several lines, joined by newlines.  A check passes its
     `verdict`: the text ends in a result line, and a failed check exits 1.
     """
     if args.format == "json":
-        _emit(args, obj if isinstance(obj, Iterator) else (json.dumps(obj, indent=2), "\n"))
+        encode = json.JSONEncoder(indent=2).iterencode
+        _emit(args, obj if isinstance(obj, Iterator) else chain(encode(obj), ("\n",)))
     else:
         if verdict is not None:
             word = "PASS" if verdict else "FAIL"
@@ -209,7 +211,7 @@ def _quiver_from_args(args: argparse.Namespace):
 
 def _cmd_quiver_window(args: argparse.Namespace) -> int:
     qw = _quiver_from_args(args)
-    head = f"component {qw.component}: {len(qw.nodes)} nodes, {len(qw.arrows)} arrows"
+    head = f"component {qw.component}: {len(qw.nodes)} nodes, {len(qw.arrow_index)} arrows"
     return _report(args, qw.to_json_dict(), _arc_lines(qw.nodes, head))
 
 

@@ -71,9 +71,9 @@ MAX_QUIVER_NODES = 200_000
 The count (t-span // n + 1) * depth is known in closed form, so a larger
 window raises ValueError before any node is built.  At the limit (n = 1,
 depth 20) `render quiver` writes 61.6 MB of SVG, about 300 bytes a node,
-with 331 MB peak RSS, and `quiver window` 21.9 MB of JSON with 305 MB
-(Python 3.11, 2-CPU x86-64 host).  It is ten times the 20 000-node ceiling
-of the benchmark's quiver jobs.
+with 307 MB peak RSS, and `quiver window` streams 21.9 MB of JSON with
+113 MB (Python 3.11, 2-CPU x86-64 host).  It is ten times the 20 000-node
+ceiling of the benchmark's quiver jobs.
 """
 
 
@@ -87,30 +87,24 @@ def _require_component(params: CategoryParams, component: object) -> None:
 
 
 class QuiverWindow(FrozenValue):
-    """A finite rectangle of one quiver component, with the arrows inside it.
+    """Nodes of one quiver component, with the arrows the mesh rule draws among them.
 
     Construction checks on (t, u) pairs that the nodes are admissible, distinct
-    and in the component, one of the n, and that every arrow is an irreducible
-    map between two nodes, raising ValueError that names the first bad one.
-    `arrow_index` holds the positions of each arrow's ends, found by that
-    check (not compared, not shown).
+    and in the component, one of the n, raising ValueError that names the first
+    bad one.  Arrows are no argument: `arrow_index` holds the positions of the
+    ends of each irreducible map between two nodes, in node order and then in
+    the order of `_arrow_targets` (not compared, not shown), and `arrows` builds
+    their arc pairs when asked.
     """
 
-    _fields = ("params", "component", "nodes", "arrows")
+    _fields = ("params", "component", "nodes")
     __slots__ = (*_fields, "arrow_index")
     params: CategoryParams
     component: int
     nodes: tuple[Arc, ...]
-    arrows: tuple[tuple[Arc, Arc], ...]
     arrow_index: tuple[tuple[int, int], ...]
 
-    def __init__(
-        self,
-        params: CategoryParams,
-        component: int,
-        nodes: tuple[Arc, ...],
-        arrows: tuple[tuple[Arc, Arc], ...],
-    ) -> None:
+    def __init__(self, params: CategoryParams, component: int, nodes: tuple[Arc, ...]) -> None:
         n = params.n
         _require_component(params, component)
         index: dict[tuple[int, int], int] = {}  # keyed by (t, u): no Arc is hashed
@@ -121,17 +115,16 @@ class QuiverWindow(FrozenValue):
                 raise ValueError(f"node {arc_text(a)} is not in component {component}")
             if index.setdefault((t, u), i) != i:
                 raise ValueError(f"duplicate arc {arc_text(a)} in family")
-        pairs = []
-        for s, e in arrows:
-            t, u, et, eu = s.t, s.u, e.t, e.u
-            i, j = index.get((t, u)), index.get((et, eu))
-            if i is None or j is None:
-                raise ValueError(f"arrow {arc_text(s)} -> {arc_text(e)}: an end is not a node")
-            if et + eu != t + u + n or et != t and eu != u:  # not (t, u + n) nor (t + n, u)
-                raise ValueError(f"arrow {arc_text(s)} -> {arc_text(e)} is not an irreducible map")
-            pairs.append((i, j))
-        super().__init__(params, component, nodes, arrows)
-        object.__setattr__(self, "arrow_index", tuple(pairs))
+        super().__init__(params, component, nodes)
+        object.__setattr__(self, "arrow_index", tuple(
+            (i, j) for (t, u), i in index.items()
+            for j in map(index.get, _arrow_targets(n, t, u)) if j is not None
+        ))
+
+    @property
+    def arrows(self) -> tuple[tuple[Arc, Arc], ...]:
+        nodes = self.nodes
+        return tuple((nodes[i], nodes[j]) for i, j in self.arrow_index)
 
     def to_json_dict(self) -> dict:
         return {
@@ -165,14 +158,10 @@ def quiver_window(
             f"quiver window t in [{short_repr(t_range.lo)}, {short_repr(t_range.hi)}] "
             f"to depth {short_repr(depth)} scans more than {MAX_QUIVER_NODES} nodes"
         )
-
-    nodes: dict[tuple[int, int], Arc] = {}  # t ascending, then u: (t, u) order
     first = t_range.lo + (component - t_range.lo) % n
-    for t in range(first, t_range.hi + 1, n):
-        for u in range(t + n + 1, t + depth * n + 2, n):  # rows 1..depth
-            if columns is None or columns.lo <= t + u <= columns.hi:
-                nodes[t, u] = Arc(t, u)
-    # the targets of `_arrow_targets` in its order: one that is not admissible is no node
-    arrows = [(a, b) for (t, u), a in nodes.items()
-              for b in (nodes.get((t, u + n)), nodes.get((t + n, u))) if b is not None]
-    return QuiverWindow(params, component, tuple(nodes.values()), tuple(arrows))
+    return QuiverWindow(params, component, tuple(
+        Arc(t, u)
+        for t in range(first, t_range.hi + 1, n)
+        for u in range(t + n + 1, t + depth * n + 2, n)  # rows 1..depth
+        if columns is None or columns.lo <= t + u <= columns.hi
+    ))

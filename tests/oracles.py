@@ -47,8 +47,7 @@ def quiver_window_oracle(params: CategoryParams, component: int, t_range: Window
 
     Nodes are the admissible arcs with t in t_range, t = component mod n,
     row (u - t - 1) / n <= depth and, given `columns`, t + u in that band, in
-    (t, u) order.  Arrows follow the mesh rule: (t, u) -> (t, u + n) and
-    (t, u) -> (t + n, u), each kept when the target is admissible and a node.
+    (t, u) order.  Arrows are those of `mesh_arrows_oracle` on these nodes.
     """
     n = params.n
     nodes = []
@@ -58,14 +57,23 @@ def quiver_window_oracle(params: CategoryParams, component: int, t_range: Window
             if (is_admissible(params, a) and t % n == component and (u - t - 1) // n <= depth
                     and (columns is None or columns.lo <= t + u <= columns.hi)):
                 nodes.append(a)
+    return tuple(nodes), mesh_arrows_oracle(params, nodes)
+
+
+def mesh_arrows_oracle(params: CategoryParams, nodes):
+    """The arrows among `nodes` by the mesh rule, in node order, then target order.
+
+    Each node (t, u) maps to (t, u + n) and to (t + n, u), each arrow kept when
+    its target is admissible and one of the nodes.
+    """
+    n = params.n
     node_set = set(nodes)
-    arrows = [
+    return tuple(
         (a, b)
         for a in nodes
         for b in (Arc(a.t, a.u + n), Arc(a.t + n, a.u))
         if is_admissible(params, b) and b in node_set
-    ]
-    return tuple(nodes), tuple(arrows)
+    )
 
 
 def addable_arcs(family, w: Window) -> list[Arc]:

@@ -100,6 +100,20 @@ def test_parse_unknown_tag():
         parse_family({"n": 3, "family": "fountain", "m": 4})
 
 
+@pytest.mark.parametrize("payload", [
+    {"n": 1, "family": "canonical", "m": 3, "arcs": [[0, 2]]},
+    {"n": 1, "family": "canonical", "m": 3, "arcs": []},
+    {"n": 3, "family": "fountain", "arcs": [[1, 5]]},
+])
+def test_parse_refuses_a_tag_with_explicit_arcs(payload):
+    # neither part may be dropped silently, whatever the tag or the arcs
+    with pytest.raises(ValueError, match="^give either a symbolic 'family' tag or an 'arcs' "
+                                         "array, not both$"):
+        parse_family(payload)
+    with pytest.raises(ValueError, match="not both"):
+        parse_family(payload, CategoryParams(payload["n"]))
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_family("canonical")

@@ -58,7 +58,9 @@ def test_removed_names_are_gone():
     assert not hasattr(RenderOptions, "margin")
     assert not hasattr(K0Basis, "index")
     assert not hasattr(QuiverWindow, "node_index")
-    # the arrow check keeps its node index to itself
+    # the mesh rule gives the arrows: they are no field and no argument
+    assert QuiverWindow._fields == ("params", "component", "nodes")
+    # the arrow derivation keeps its node index to itself
     assert not hasattr(quiver_window(CategoryParams(1), 0, Window(0, 2), 1), "index")
     assert not hasattr(Window, "contains_point")
     # a report's JSON reads its arcs from `canonical_family`; it keeps no copy

@@ -116,6 +116,9 @@ CASES = [
     # family objects with neither arcs nor a symbolic tag, and arcs that are no array
     ("refused-k0-present-no-arcs", ["k0", "present", "--json", '{"n": 3}']),
     ("refused-k0-present-arcs-not-array", ["k0", "present", "--json", '{"n": 3, "arcs": 5}']),
+    # a symbolic tag with explicit arcs: neither is dropped, the object is refused
+    ("refused-k0-present-family-and-arcs",
+     ["k0", "present", "--json", '{"n": 1, "family": "canonical", "m": 3, "arcs": [[0,2]]}']),
     # figures without labels, and one with highlighted nodes in another component
     # grid; the README pins the labelled ones above
     ("figure-render-arcs-no-labels",

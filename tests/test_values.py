@@ -64,11 +64,10 @@ VALUES = [
     (lambda: ArTriangle(start=Arc(-1, 2), middle=(Arc(-1, 3), Arc(0, 2)), end=Arc(0, 3)),
      "ArTriangle(start=Arc(t=-1, u=2), middle=(Arc(t=-1, u=3), Arc(t=0, u=2)), end=Arc(t=0, u=3))",
      ("start", "middle", "end")),
-    (lambda: QuiverWindow(params=P1, component=0, nodes=NODES, arrows=ARROWS),
+    (lambda: QuiverWindow(params=P1, component=0, nodes=NODES),
      "QuiverWindow(params=CategoryParams(n=1), component=0, nodes=(Arc(t=0, u=2), "
-     "Arc(t=0, u=3), Arc(t=1, u=3)), arrows=((Arc(t=0, u=2), Arc(t=0, u=3)), "
-     "(Arc(t=0, u=3), Arc(t=1, u=3))))",
-     ("params", "component", "nodes", "arrows")),
+     "Arc(t=0, u=3), Arc(t=1, u=3)))",
+     ("params", "component", "nodes")),
     (lambda: IntMatrix(rows=2, cols=3, terms=(((0, 2),), ((1, -1), (2, 4)))),
      "IntMatrix(rows=2, cols=3, terms=(((0, 2),), ((1, -1), (2, 4))))",
      ("rows", "cols", "terms")),
@@ -132,8 +131,9 @@ def test_copy_and_pickle_give_equal_values(build, text, fields):
 def test_derived_fields_survive_copy_and_are_not_compared():
     f = ArcFamily(P3, [Arc(1, 5), Arc(-2, 5)])
     assert copy.deepcopy(f).index == pickle.loads(pickle.dumps(f)).index == f.index
-    qw = QuiverWindow(P1, 0, NODES, ARROWS)
+    qw = QuiverWindow(P1, 0, NODES)
     assert copy.deepcopy(qw).arrow_index == qw.arrow_index == ((0, 1), (1, 2))
+    assert pickle.loads(pickle.dumps(qw)).arrows == qw.arrows == ARROWS
     assert "index" not in repr(f) and "arrow_index" not in repr(qw)
 
 
@@ -227,8 +227,8 @@ class Exact(int):
     (lambda: ArcFamily(P3, [Arc(1, 5), Arc(1, 4), Arc(1, 5)]),
      "arc (1, 4) is not 3-admissible: length 3 is not congruent to 1 modulo 3"),
     (lambda: ArcFamily(P3, [Arc(1, 5), Arc(1, 5), Arc(1, 4)]), "duplicate arc (1, 5) in family"),
-    (lambda: QuiverWindow(P1, 0, (Arc(0, 2),), ((Arc(0, 2), Arc(0, 3)),)),
-     "arrow (0, 2) -> (0, 3): an end is not a node"),
+    (lambda: QuiverWindow(P3, 0, (Arc(0, 4), Arc(1, 5), Arc(0, 4))),
+     "node (1, 5) is not in component 0"),
     (lambda: IntMatrix(-1, 2.0, ((0,),)), "matrix dimensions must be non-negative"),
     (lambda: IntMatrix(2, 2, (((0, 1.0),),)), "expected 2 rows, got 1"),
     (lambda: IntMatrix(1, 2, (((1, 1.0), (0, 0)),)),
