@@ -263,10 +263,11 @@ ValueError before any arc is built.
 def canonical_family(params: CategoryParams, m: int) -> ArcFamily:
     """The first m arcs of the staircase family.
 
-    Arc 1 is (1, n + 2); arc 2k is (1 - kn, 2 + kn); arc 2k + 1 is
-    (1 - kn, 2 + (k + 1)n).  Consecutive members share an endpoint and the
-    family is pairwise non-crossing and locally finite for every n.  m may
-    be at most MAX_CANONICAL_MEMBERS.
+    Member i is (1 - (i // 2)n, 2 + ((i + 1) // 2)n): arc 1 is (1, n + 2),
+    arc 2k is (1 - kn, 2 + kn) and arc 2k + 1 is (1 - kn, 2 + (k + 1)n).
+    So member i has length 1 + in, lies in row i, and holds member i - 1,
+    with which it shares an endpoint.  The family is pairwise non-crossing
+    and locally finite for every n.  m may be at most MAX_CANONICAL_MEMBERS.
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise ValueError(f"family size m must be an integer >= 1, got {short_repr(m)}")
@@ -276,11 +277,5 @@ def canonical_family(params: CategoryParams, m: int) -> ArcFamily:
             f"{MAX_CANONICAL_MEMBERS}"
         )
     n = params.n
-    arcs: list[Arc] = []
-    for i in range(1, m + 1):
-        k = i // 2
-        if i % 2 == 0:
-            arcs.append(Arc(1 - k * n, 2 + k * n))
-        else:
-            arcs.append(Arc(1 - k * n, 2 + (k + 1) * n))
+    arcs = (Arc(1 - i // 2 * n, 2 + (i + 1) // 2 * n) for i in range(1, m + 1))
     return ArcFamily(params, tuple(arcs))

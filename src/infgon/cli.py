@@ -73,13 +73,15 @@ def _payload(args: argparse.Namespace) -> object:
 
 
 def _family_from_args(
-    args: argparse.Namespace, members: Callable[[object, object], object] | None = None
+    args: argparse.Namespace, members: Callable[[int, int], int] | None = None
 ) -> ArcFamily:
     """The family of the input; --canonical M is read as {"family": "canonical", "m": M}.
 
     A bad -n is reported before any input is read.  `members`, when given,
-    maps the M and n (from -n, else the input; unchecked) of a canonical
-    family to the number of members to build, or raises to refuse M.
+    maps the M and n (from -n, else the input) of a canonical family to the
+    number of members to build, or raises to refuse M.  It sees only exact
+    ints, M in 1..MAX_CANONICAL_MEMBERS and n >= 1; any other M or n goes
+    unchanged to `parse_family` and `canonical_family`, which refuse it.
     """
     from . import angulation
 
@@ -94,8 +96,9 @@ def _family_from_args(
     else:
         payload = {"family": angulation.CANONICAL_TAG, "m": canonical_m}
     if members and isinstance(payload, dict) and payload.get("family") == angulation.CANONICAL_TAG:
-        n = params.n if params is not None else payload.get("n")
-        payload = {**payload, "m": members(payload.get("m"), n)}
+        m, n = payload.get("m"), params.n if params is not None else payload.get("n")
+        if type(m) is type(n) is int and 0 < m <= angulation.MAX_CANONICAL_MEMBERS and n > 0:
+            payload = {**payload, "m": members(m, n)}
     return angulation.parse_family(payload, params)
 
 
@@ -260,7 +263,7 @@ def _cmd_family_canonical(args: argparse.Namespace) -> int:
 def _cmd_k0_present(args: argparse.Namespace) -> int:
     from . import k0
 
-    family = _family_from_args(args, lambda m, _: k0.require_canonical_within_limit(m) or m)
+    family = _family_from_args(args, lambda m, _: k0.require_relation_count(m, m - 1) or m)
     pres = k0.k0_presentation(family.params, family)
     report = pres.to_json_dict()
     head = [
@@ -297,18 +300,12 @@ def _render_options(args: argparse.Namespace, highlight: tuple[Arc, ...] = ()) -
 
 
 def _cmd_render_arcs(args: argparse.Namespace) -> int:
-    from . import angulation
-
     lo, hi = args.window
-
-    def fitting(m: object, n: object) -> object:
-        # member i has length 1 + i * n and holds member i - 1, so the first one
-        # outside the window comes by (span - 1) // n + 1, and a window too wide
-        # to draw is refused whatever the members; a refused M or n stays
-        ok = type(m) is int and type(n) is int and n > 0 and m <= angulation.MAX_CANONICAL_MEMBERS
-        return min(m, max(1, (min(hi - lo, MAX_DIAGRAM_POINTS) - 1) // n + 1)) if ok else m
-
-    family = _family_from_args(args, fitting)
+    # member i has length 1 + i * n and holds member i - 1 (`canonical_family`), so
+    # the first one outside the window comes by (span - 1) // n + 1, and a window
+    # too wide to draw is refused whatever the members
+    span = min(hi - lo, MAX_DIAGRAM_POINTS)
+    family = _family_from_args(args, lambda m, n: min(m, max(1, (span - 1) // n + 1)))
     _emit(args, [arc_diagram_svg(family, Window(lo, hi), _render_options(args))])
     return EXIT_OK
 

@@ -174,29 +174,22 @@ MAX_RELATIONS = 1000
 In top-first order the reduction's time is quadratic in the relation
 count, but its V fills a dense triangle of about m^2 / 2 entries for m
 relations.  On a 2-CPU x86-64 host with Python 3.11, `k0 verify -n 4
---m 1001` took 0.9-1.2 s and 84 MB peak RSS, n in {1, 3} 0.7 s and 46 MB,
-and m = 750 0.6-0.8 s and 53 MB.  Memory grows as the square of the limit,
-so the limit stays until the reduction builds no V.  A family past the
-limit raises ValueError before the reduction, so `k0 verify --m` tops out
-at m = 1001.
+--m 1001` took 0.9-1.2 s and 83 MB peak RSS, n in {1, 3} 0.5 s and 45 MB,
+and m = 750 0.65 s and 52 MB (medians of 5).  Memory grows as the square
+of the limit, so it stays until the reduction builds no V.  A family past
+the limit raises ValueError before the reduction, so `k0 verify --m` tops
+out at m = 1001.
 """
 
 
-def _require_relation_count(g: int, rels: int) -> None:
+def require_relation_count(g: int, rels: int) -> None:
+    """Raise ValueError when g generators with rels relations pass MAX_RELATIONS.
+
+    A canonical truncation of m arcs has m - 1 relations, so its callers
+    check (m, m - 1) before the family is built.
+    """
     if rels > MAX_RELATIONS:
         raise ValueError(f"{g} generators give {rels} relations, more than {MAX_RELATIONS}")
-
-
-def require_canonical_within_limit(m: object) -> None:
-    """Raise ValueError when a canonical truncation of m arcs has too many relations.
-
-    It has m - 1, more than MAX_RELATIONS past m = 1001, so this runs before
-    the family is built.  An m that is no integer or is past
-    MAX_CANONICAL_MEMBERS is left to `canonical_family`, whose refusal comes
-    first.
-    """
-    if isinstance(m, int) and not isinstance(m, bool) and m <= MAX_CANONICAL_MEMBERS:
-        _require_relation_count(m, m - 1)
 
 
 def _top_first(family: ArcFamily, relations: list[RelationVector]) -> tuple[IntMatrix, list[int]]:
@@ -234,7 +227,7 @@ def k0_presentation(params: CategoryParams, family: ArcFamily) -> K0Presentation
     basis = K0Basis(family)
     relations = ar_relations(params, basis)
     g, rels = basis.size, len(relations)
-    _require_relation_count(g, rels)
+    require_relation_count(g, rels)
     if g * (g - rels) > MAX_CLASS_CELLS:
         raise ValueError(
             f"{g} generators with {rels} relations give a class table of at least "
@@ -301,11 +294,13 @@ def verify_theorem(params: CategoryParams, m: int) -> TheoremReport:
     generator class matching the even/odd formula.  The report carries the
     first violation found, if any; it never raises on a mathematical
     failure.  Past MAX_CANONICAL_MEMBERS or MAX_RELATIONS it raises
-    ValueError before the family is built.
+    ValueError before the family is built; `canonical_family` refuses the
+    former first.
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 2:
         raise ValueError(f"truncation m must be an integer >= 2, got {short_repr(m)}")
-    require_canonical_within_limit(m)
+    if m <= MAX_CANONICAL_MEMBERS:
+        require_relation_count(m, m - 1)
     family = canonical_family(params, m)
     pres = k0_presentation(params, family)
 

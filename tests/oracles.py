@@ -76,6 +76,21 @@ def mesh_arrows_oracle(params: CategoryParams, nodes):
     )
 
 
+def staircase_oracle(n: int, m: int) -> list[Arc]:
+    """The first m staircase arcs, one branch per parity.
+
+    Arc 2k is (1 - kn, 2 + kn) and arc 2k + 1 is (1 - kn, 2 + (k + 1)n).
+    """
+    arcs = []
+    for i in range(1, m + 1):
+        k = i // 2
+        if i % 2 == 0:
+            arcs.append(Arc(1 - k * n, 2 + k * n))
+        else:
+            arcs.append(Arc(1 - k * n, 2 + (k + 1) * n))
+    return arcs
+
+
 def addable_arcs(family, w: Window) -> list[Arc]:
     """All admissible arcs in the window that extend the family crossing-free."""
     members = set(family.arcs)

@@ -21,7 +21,13 @@ from infgon import (
 )
 from infgon.angulation import MAX_CANONICAL_MEMBERS
 from infgon.quiver import MAX_QUIVER_NODES
-from oracles import addable_arcs, crossing_oracle, greedy_completion_oracle, maximality_oracle
+from oracles import (
+    addable_arcs,
+    crossing_oracle,
+    greedy_completion_oracle,
+    maximality_oracle,
+    staircase_oracle,
+)
 
 
 def fam(n, pairs):
@@ -433,6 +439,22 @@ def test_canonical_family_is_bounded_before_any_arc_is_built():
     # the symbolic JSON form goes through the same bound
     with pytest.raises(ValueError, match="200001 members is larger than 200000"):
         parse_family({"n": 1, "family": "canonical", "m": MAX_CANONICAL_MEMBERS + 1})
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_canonical_family_is_the_two_branch_staircase(n):
+    for m in range(1, 61):
+        assert list(canonical_family(CategoryParams(n), m).arcs) == staircase_oracle(n, m)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_canonical_member_i_is_1_plus_i_n_long_and_holds_member_i_minus_1(n):
+    # the two facts the CLI's clamps of `render arcs` and `render quiver` quote
+    arcs = canonical_family(CategoryParams(n), 60).arcs
+    for i, a in enumerate(arcs, 1):
+        assert a.u - a.t == 1 + i * n
+    for inner, outer in zip(arcs, arcs[1:]):
+        assert outer.t <= inner.t and inner.u <= outer.u
 
 
 @pytest.mark.parametrize("n", range(1, 9))

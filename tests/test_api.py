@@ -22,6 +22,7 @@ from infgon import (
     Window,
     angulation,
     arcs,
+    k0,
     quiver_window,
 )
 
@@ -65,6 +66,10 @@ def test_removed_names_are_gone():
     assert not hasattr(Window, "contains_point")
     # a report's JSON reads its arcs from `canonical_family`; it keeps no copy
     assert not hasattr(TheoremReport, "arcs")
+    # `require_relation_count` is the one relation bound; a canonical size m
+    # is checked as (m, m - 1)
+    assert not hasattr(k0, "require_canonical_within_limit")
+    assert callable(k0.require_relation_count)
 
 
 def test_readme_library_example():

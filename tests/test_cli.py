@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infgon import Arc, CategoryParams, Window, angulation, enumerate_arcs, k0, render
+from infgon import Arc, CategoryParams, Window, angulation, cli, enumerate_arcs, k0, render
 from infgon.cli import main
 from oracles import brute_force_arcs, forge
 
@@ -854,6 +854,33 @@ def test_canonical_flag_is_the_symbolic_input_on_every_channel(
         # one longer than the window, which misses it
         assert (code, out, built) == (2, "", [7])
         assert err == "error: arc (-8, 14) lies outside the window [-8, 12]\n"
+
+
+@pytest.mark.parametrize("m", [0, -3, True, 1.5, "5", None, 200_001, 5])
+@pytest.mark.parametrize("n", [0, -1, True, "x", 3])
+def test_family_hook_sees_only_checked_sizes(monkeypatch, m, n):
+    # a hook of `_family_from_args` is plain arithmetic: the reader hands it
+    # exact ints, M in 1..MAX_CANONICAL_MEMBERS and n >= 1, and leaves every
+    # other value to `parse_family` and `canonical_family`
+    seen = []
+
+    def spy(size, k):
+        seen.append((size, k))
+        return size
+
+    payload = json.dumps({"n": n, "family": "canonical", "m": m})
+    # with no M, --canonical is absent and the payload comes from stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+    flag = argparse.Namespace(n=n, canonical=m, input=None, json=None)
+    symbolic = argparse.Namespace(n=None, canonical=None, input=None, json=payload)
+    for args in (flag, symbolic):
+        with contextlib.suppress(ValueError):
+            cli._family_from_args(args, spy)
+    assert all(
+        type(size) is type(k) is int and 1 <= size <= angulation.MAX_CANONICAL_MEMBERS and k >= 1
+        for size, k in seen
+    ), seen
+    assert seen == ([(5, 3)] * 2 if (m, n) == (5, 3) else [])
 
 
 @pytest.mark.parametrize("command", CANONICAL_COMMANDS, ids=" ".join)

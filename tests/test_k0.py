@@ -414,6 +414,9 @@ FORGERIES = [
      "generator 1 = (1, 4) has class -1, expected 1"),
     (lambda pres: forge(pres, classes=pres.classes[:2] + ((7,),) + pres.classes[3:]),
      "generator 3 = (-1, 6) has class 7, expected 3"),
+    # the last generator is checked too
+    (lambda pres: forge(pres, classes=pres.classes[:3] + ((5,),)),
+     "generator 4 = (-3, 6) has class 5, expected 4"),
 ]
 
 
